@@ -22,7 +22,11 @@ pub enum OrderKind {
 /// Configuration of a [`crate::LazyMc`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
-    /// Worker threads; `0` uses the process-global rayon pool as-is.
+    /// Intra-solve width on the scheduler pool the solve runs on (the
+    /// calling thread plus up to `threads - 1` pool workers); `1` runs
+    /// the sequential kernels, `0` uses the pool's full capacity. A
+    /// non-zero value also pins the width of the parallel preprocessing
+    /// stages for the call.
     pub threads: usize,
     /// How many of the highest-degree vertices the degree-based heuristic
     /// search expands (paper Alg. 5, "top-K").
@@ -102,7 +106,7 @@ impl Config {
     }
 
     /// Clamps a requested thread count to [`Config::thread_cap`]
-    /// (`0` — "use the ambient pool" — passes through unchanged).
+    /// (`0` — "use the whole pool" — passes through unchanged).
     pub fn clamp_threads(threads: usize) -> usize {
         threads.min(Self::thread_cap())
     }

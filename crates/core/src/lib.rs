@@ -46,6 +46,7 @@ use lazymc_order::{
     coreness_degree_order, kcore_sequential, kcore_with_floor, KCoreView, VertexOrder,
 };
 pub use lazymc_sched::{Pool as SchedPool, SchedHandle, SchedMetrics, TaskMeta};
+use std::sync::OnceLock;
 use std::time::Instant;
 pub use systematic::{Deadline, JobSched};
 
@@ -128,6 +129,12 @@ impl LazyMc {
     /// publishes its current phase, work counters and incumbent size
     /// into `progress` as it runs, so an observer thread can report on
     /// a solve that has not finished. Passing `None` costs nothing.
+    ///
+    /// The systematic search runs on the process-wide scheduler pool (see
+    /// [`LazyMc::solve_prepared_on`]). A non-zero `threads` also pins the
+    /// width of the parallel preprocessing stages for the duration of the
+    /// call — it spawns nothing itself, and at `threads = 1` keeps the
+    /// whole solve on the calling thread.
     pub fn solve_prepared_observed(
         &self,
         g: &dyn GraphAccess,
@@ -135,29 +142,31 @@ impl LazyMc {
         deadline: &Deadline,
         progress: Option<&SolveProgress>,
     ) -> SolveResult {
-        let result = if self.config.threads > 0 {
-            let pool = rayon::ThreadPoolBuilder::new()
+        let meta = TaskMeta {
+            deadline: deadline.expires_at(),
+            ..TaskMeta::adhoc()
+        };
+        let run = || self.solve_prepared_on(g, kcore, deadline, progress, shared_pool(), meta);
+        if self.config.threads > 0 {
+            rayon::ThreadPoolBuilder::new()
                 .num_threads(self.config.threads)
                 .build()
-                .expect("failed to build rayon pool");
-            pool.install(|| self.solve_inner(g, kcore, deadline, progress, None))
+                .expect("failed to build rayon pool")
+                .install(run)
         } else {
-            self.solve_inner(g, kcore, deadline, progress, None)
-        };
-        if let Some(p) = progress {
-            p.set_phase(Phase::Done);
+            run()
         }
-        result
     }
 
-    /// [`LazyMc::solve_prepared_observed`] running on the machine-wide
-    /// scheduler instead of a job-scoped thread team: the systematic
-    /// sweep and every intra-solve subtree split become stealable tasks
-    /// stamped with `meta` (job id, deadline, priority) on the pool
-    /// behind `handle`. No thread pool is built — the caller's thread
-    /// drives the solve and recruits pool workers through scopes, so a
-    /// `threads = 1` config touches the scheduler not at all and stays
-    /// bit-identical to the sequential kernels.
+    /// [`LazyMc::solve_prepared_observed`] on a caller-chosen scheduler
+    /// pool: the systematic sweep and every intra-solve subtree split
+    /// become stealable tasks stamped with `meta` (job id, deadline,
+    /// priority) on the pool behind `handle`. The caller's thread drives
+    /// the solve and claims units alongside the pool workers it recruits
+    /// through scopes, so a `threads = 1` config touches the scheduler
+    /// not at all and stays bit-identical to the sequential kernels. The
+    /// daemon passes its own pool here; every other solve uses the
+    /// process-wide one.
     pub fn solve_prepared_on(
         &self,
         g: &dyn GraphAccess,
@@ -172,7 +181,7 @@ impl LazyMc {
             meta,
             width: self.config.sched_width(handle.workers()),
         };
-        let result = self.solve_inner(g, kcore, deadline, progress, Some(&sched));
+        let result = self.solve_inner(g, kcore, deadline, progress, &sched);
         if let Some(p) = progress {
             p.set_phase(Phase::Done);
         }
@@ -185,7 +194,7 @@ impl LazyMc {
         pre: Option<KCoreView<'_>>,
         deadline: &Deadline,
         progress: Option<&SolveProgress>,
-        sched: Option<&JobSched>,
+        sched: &JobSched,
     ) -> SolveResult {
         let cfg = &self.config;
         let mut phases = PhaseTimes::default();
@@ -279,7 +288,7 @@ impl LazyMc {
         // 6. Systematic search (line 8).
         mark(Phase::Systematic);
         let t = Instant::now();
-        systematic::systematic_search_on(
+        systematic::systematic_search(
             &lg,
             &levels,
             kc.degeneracy,
@@ -308,6 +317,20 @@ impl LazyMc {
             metrics: snapshot,
         }
     }
+}
+
+/// The process-wide scheduler pool behind every solve that does not bring
+/// its own: created on first use, sized to the machine's parallelism. Its
+/// workers park on their eventfd doorbells while idle.
+fn shared_pool() -> &'static SchedHandle {
+    static POOL: OnceLock<(SchedPool, SchedHandle)> = OnceLock::new();
+    let (_, handle) = POOL.get_or_init(|| {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pool = SchedPool::new(workers);
+        let handle = pool.handle();
+        (pool, handle)
+    });
+    handle
 }
 
 /// Convenience: solve with the default configuration.
@@ -591,6 +614,50 @@ mod tests {
             "live progress must aggregate node counts across all workers"
         );
         assert_eq!(progress.incumbent_size(), r.size());
+    }
+
+    #[test]
+    fn cancellation_reaches_running_subtrees() {
+        // Paley(509) is vertex-transitive: every vertex sits on one
+        // coreness level, so the probe phase searches a single
+        // right-neighbourhood (254 vertices) with the whole width of the
+        // solve — a split neighbourhood whose MC search (forced by φ = 1)
+        // is by far the first piece of systematic work. An observer cancels
+        // as soon as live progress shows any node.
+        let g = gen::paley(509);
+        let solve_cancelled = |threads: usize| {
+            let cfg = Config::default()
+                .with_threads(threads)
+                .with_density_threshold(1.0);
+            let progress = SolveProgress::new();
+            let deadline = Deadline::none();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while progress.nodes_expanded() == 0 && progress.phase() != Phase::Done {
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                    }
+                    deadline.cancel();
+                });
+                LazyMc::new(cfg).solve_prepared_observed(&g, None, &deadline, Some(&progress))
+            })
+        };
+        // At threads 1 the sequential kernel sees the cancel only between
+        // neighbourhoods, so this is the split neighbourhood searched to
+        // completion.
+        let whole = solve_cancelled(1);
+        assert!(!whole.is_exact());
+        let whole_nodes = whole.metrics.mc_nodes + whole.metrics.vc_nodes;
+        // At threads 2 every unit claim polls the stop hook and a halted
+        // incumbent stops running subtrees at their next node.
+        let cut = solve_cancelled(2);
+        assert!(!cut.is_exact());
+        assert!(g.is_clique(cut.vertices()));
+        assert!(cut.metrics.split_tasks > 0, "the neighbourhood must split");
+        let cut_nodes = cut.metrics.mc_nodes + cut.metrics.vc_nodes;
+        assert!(
+            cut_nodes * 3 < whole_nodes,
+            "cancel must stop the split search mid-way: {cut_nodes} vs {whole_nodes} nodes"
+        );
     }
 
     #[test]

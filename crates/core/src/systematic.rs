@@ -27,11 +27,8 @@ use lazymc_sched::{SchedHandle, TaskMeta};
 use lazymc_solver::bitset::{BitMatrix, Bitset};
 use lazymc_solver::scratch::{Pool, SolverScratch};
 use lazymc_solver::{
-    max_clique_dense_par_live, max_clique_dense_sched_live, max_clique_dense_scratch_live,
-    max_clique_via_vc_par_live, max_clique_via_vc_sched_live, max_clique_via_vc_scratch_live,
-    LiveNodes, McStats, VcStats,
+    max_clique_search, max_clique_via_vc_search, LiveNodes, McStats, SchedCtx, SolveCtx, VcStats,
 };
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -103,8 +100,9 @@ impl Deadline {
     }
 
     /// Expires the deadline immediately, whatever its budget. Safe to call
-    /// from any thread while a solve is running against it: the solve
-    /// finishes its current neighbourhood search, then truncates.
+    /// from any thread while a solve is running against it: no new
+    /// neighbourhood search starts, and a split search halts its running
+    /// subtrees at their next unit claim.
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::Relaxed);
     }
@@ -168,42 +166,35 @@ pub struct JobSched {
 
 /// Shared context of one systematic sweep, handed to every neighbourhood
 /// search: the configuration, the global incumbent, the counters, the
-/// deadline — plus the *intra-solve* thread budget chosen per phase by
-/// the work-splitting rule.
+/// deadline, the job's scheduler binding — plus the *intra-solve* width
+/// chosen per phase by the work-splitting rule.
 pub struct SearchCtx<'a> {
     pub cfg: &'a Config,
     pub inc: &'a Incumbent,
     pub counters: &'a Counters,
     pub deadline: &'a Deadline,
-    /// Threads the detailed subgraph search of this call may use. `1`
-    /// runs the deterministic sequential kernels (today's exact code
-    /// path); above that, the dense MC and k-VC solvers split their top
-    /// branch levels into subtree tasks sharing one incumbent.
+    /// The pool the sweep and every subtree split run on.
+    pub sched: &'a JobSched,
+    /// Width the detailed subgraph search of this call may use. `1` runs
+    /// the deterministic sequential kernels; above that, the dense MC and
+    /// k-VC engines split their top branch levels into scope units on
+    /// `sched` sharing one incumbent.
     pub solver_threads: usize,
-    /// When set, subtree tasks go to the machine-wide scheduler instead
-    /// of a job-scoped thread team, and the sweep itself becomes a
-    /// stealable scope on the same pool.
-    pub sched: Option<&'a JobSched>,
 }
 
-/// Runs `f` over `items`, split into at most `workers` contiguous chunks
-/// executed in parallel. The second argument handed to `f` is the
-/// intra-solve thread budget: when a phase has fewer pending vertices
-/// than workers, vertex-level parallelism cannot keep the crew busy, so
-/// the spare threads are pushed *inside* each subgraph solve
-/// (subtree-level splitting); otherwise solves stay sequential inside
-/// and the vertices themselves fan out. This is the "split only when
-/// fewer pending vertices than idle workers" rule.
-fn sweep_parallel(
-    items: Vec<VertexId>,
-    workers: usize,
-    sched: Option<&JobSched>,
-    f: impl Fn(VertexId, usize) + Sync,
-) {
+/// Runs `f` over `items` as one scope on the job's pool. The second
+/// argument handed to `f` is the intra-solve width: when a phase has
+/// fewer pending vertices than the job's width, vertex-level parallelism
+/// cannot keep the crew busy, so the spare width is pushed *inside* each
+/// subgraph solve (subtree-level splitting); otherwise solves stay
+/// sequential inside and the vertices themselves fan out. This is the
+/// "split only when fewer pending vertices than idle workers" rule.
+fn sweep_parallel(items: Vec<VertexId>, js: &JobSched, f: impl Fn(VertexId, usize) + Sync) {
     let pending = items.len();
     if pending == 0 {
         return;
     }
+    let workers = js.width.max(1);
     let inner = if pending < workers {
         (workers / pending).max(1)
     } else {
@@ -215,23 +206,19 @@ fn sweep_parallel(
         }
         return;
     }
-    if let Some(js) = sched {
-        // The level's vertices become claimable units of one scope on the
-        // machine-wide pool: idle workers of *any* job steal them, and the
-        // scope owner claims alongside, so a level never waits on pool
-        // capacity — `threads = 1` capacity degenerates to the loop above.
-        js.handle
-            .scope(js.meta, workers - 1, pending, &|_sc, i| f(items[i], inner));
-        return;
-    }
-    // `for_each` distributes the items itself (the vendored shim chunks
-    // into at most `workers` contiguous runs; real rayon would add work
-    // stealing on top). The inner budget is uniform across the phase, so
-    // it rides along by value.
-    items.into_par_iter().for_each(|v| f(v, inner));
+    // The level's vertices become claimable units of one scope on the
+    // machine-wide pool: idle workers of *any* job steal them one vertex
+    // at a time, and the scope owner claims alongside, so a level never
+    // waits on pool capacity.
+    js.handle
+        .scope(js.meta, workers - 1, pending, &|_sc, i| f(items[i], inner));
 }
 
-/// Runs the systematic search (paper Algorithm 7).
+/// Runs the systematic search (paper Algorithm 7) on the job's pool: both
+/// the level sweeps and the intra-solve subtree splits run as stealable
+/// units carrying the job's deadline and priority. Width 1 runs every
+/// level as a plain loop over the sequential kernels.
+#[allow(clippy::too_many_arguments)]
 pub fn systematic_search(
     lg: &LazyGraph<'_>,
     levels: &[(u32, u32)],
@@ -240,31 +227,16 @@ pub fn systematic_search(
     inc: &Incumbent,
     counters: &Counters,
     deadline: &Deadline,
-) {
-    systematic_search_on(lg, levels, degeneracy, cfg, inc, counters, deadline, None)
-}
-
-/// [`systematic_search`] bound to the machine-wide scheduler: both the
-/// level sweeps and the intra-solve subtree splits run as stealable
-/// tasks carrying the job's deadline and priority. `None` keeps the
-/// job-scoped rayon path.
-#[allow(clippy::too_many_arguments)]
-pub fn systematic_search_on(
-    lg: &LazyGraph<'_>,
-    levels: &[(u32, u32)],
-    degeneracy: u32,
-    cfg: &Config,
-    inc: &Incumbent,
-    counters: &Counters,
-    deadline: &Deadline,
-    sched: Option<&JobSched>,
+    sched: &JobSched,
 ) {
     let deg = degeneracy as usize;
-    // Capacity is a property of the pool the job runs on, queried here —
-    // not a static per-job share.
-    let workers = match sched {
-        Some(js) => js.width.max(1),
-        None => rayon::current_num_threads().max(1),
+    let ctx = |solver_threads| SearchCtx {
+        cfg,
+        inc,
+        counters,
+        deadline,
+        sched,
+        solver_threads,
     };
     // Phase 1: one probe per degeneracy level, from the incumbent level up.
     // Probed vertices are remembered so the main sweep does not search the
@@ -287,17 +259,9 @@ pub fn systematic_search_on(
                 })
             })
             .collect();
-        sweep_parallel(probes, workers, sched, |v, inner| {
+        sweep_parallel(probes, sched, |v, inner| {
             if !deadline.should_skip() {
-                let ctx = SearchCtx {
-                    cfg,
-                    inc,
-                    counters,
-                    deadline,
-                    solver_threads: inner,
-                    sched,
-                };
-                neighbor_search(lg, v, &ctx);
+                neighbor_search(lg, v, &ctx(inner));
             }
         });
     }
@@ -311,19 +275,11 @@ pub fn systematic_search_on(
         let vs: Vec<VertexId> = (start..end)
             .filter(|&v| probed.is_empty() || !probed[v as usize].load(Ordering::Relaxed))
             .collect();
-        sweep_parallel(vs, workers, sched, |v, inner| {
+        sweep_parallel(vs, sched, |v, inner| {
             // Re-check against the *current* incumbent: it may have grown
             // since the level test.
             if (lg.coreness(v) as usize) >= inc.size() && !deadline.should_skip() {
-                let ctx = SearchCtx {
-                    cfg,
-                    inc,
-                    counters,
-                    deadline,
-                    solver_threads: inner,
-                    sched,
-                };
-                neighbor_search(lg, v, &ctx);
+                neighbor_search(lg, v, &ctx(inner));
             }
         });
     }
@@ -346,8 +302,8 @@ fn neighbor_search_scratch(
         inc,
         counters,
         deadline,
-        solver_threads,
         sched,
+        solver_threads,
     } = *ctx;
     let t0 = Instant::now();
     let cstar = inc.size();
@@ -457,16 +413,21 @@ fn neighbor_search_scratch(
     // A clique K ⊆ N together with v gives |K|+1, so beat the incumbent iff
     // |K| > cstar − 1.
     let lb = cstar.saturating_sub(1);
-    // Intra-solve thread budget: 1 runs the deterministic sequential
-    // kernels; above that, the engines split their top branch levels into
-    // subtree tasks against a shared incumbent.
-    let threads = solver_threads.max(1);
-    // Scheduler-run solves poll this once per claimed subtree task, so a
-    // deadline trip or cancellation drains every stolen subtree of the
-    // job wherever it is executing.
+    // The engines' scheduler binding at this call's width: 1 runs the
+    // deterministic sequential kernels; above that, the engines split
+    // their top branch levels into scope units against a shared
+    // incumbent, polling the stop hook once per claimed unit so a
+    // deadline trip or cancellation drains every subtree of the job
+    // wherever it is executing.
     let stop = || deadline.should_skip();
-    let stop: Option<lazymc_solver::StopFn<'_>> = Some(&stop);
+    let binding = SchedCtx {
+        handle: &sched.handle,
+        meta: sched.meta,
+        width: solver_threads.max(1),
+        stop: Some(&stop),
+    };
     let t1 = Instant::now();
+    let within = &scr.within;
     let clique = &mut scr.solver.clique;
     let found = if density > cfg.density_threshold {
         counters.add(&counters.searched_kvc, 1);
@@ -474,82 +435,25 @@ fn neighbor_search_scratch(
         // Live observers see vc_nodes move mid-search; the kernel records
         // flushed batches in `st.sampled` so the residual add below keeps
         // the final total exact.
-        let live = LiveNodes::new(&counters.vc_nodes);
+        let ctx = SolveCtx {
+            stats: Some(&mut st),
+            live: LiveNodes::new(&counters.vc_nodes),
+            sched: Some(binding),
+        };
         // The k-VC engine works on whole matrices; compact when the
         // reduction removed vertices.
-        let r = if scr.within.len() < nn {
-            compact_matrix_into(adj, &scr.within, &mut scr.small, &mut scr.map);
-            let found = match sched {
-                Some(js) if threads > 1 => max_clique_via_vc_sched_live(
-                    &scr.small,
-                    lb,
-                    &js.handle,
-                    js.meta,
-                    threads,
-                    stop,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-                _ if threads > 1 => max_clique_via_vc_par_live(
-                    &scr.small,
-                    lb,
-                    threads,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-                _ => max_clique_via_vc_scratch_live(
-                    &scr.small,
-                    lb,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-            };
-            if found {
-                // translate compacted indices back to positions in n3
-                for i in clique.iter_mut() {
-                    *i = scr.map[*i as usize];
-                }
+        let compact = within.len() < nn;
+        if compact {
+            compact_matrix_into(adj, within, &mut scr.small, &mut scr.map);
+        }
+        let m = if compact { &scr.small } else { adj };
+        let r = max_clique_via_vc_search(m, lb, &mut scr.solver.vc, clique, ctx);
+        if r && compact {
+            // translate compacted indices back to positions in n3
+            for i in clique.iter_mut() {
+                *i = scr.map[*i as usize];
             }
-            found
-        } else {
-            match sched {
-                Some(js) if threads > 1 => max_clique_via_vc_sched_live(
-                    adj,
-                    lb,
-                    &js.handle,
-                    js.meta,
-                    threads,
-                    stop,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-                _ if threads > 1 => max_clique_via_vc_par_live(
-                    adj,
-                    lb,
-                    threads,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-                _ => max_clique_via_vc_scratch_live(
-                    adj,
-                    lb,
-                    Some(&mut st),
-                    &mut scr.solver.vc,
-                    clique,
-                    live,
-                ),
-            }
-        };
+        }
         counters.add(&counters.vc_nodes, st.nodes - st.sampled);
         counters.add(&counters.vc_reductions, st.reductions);
         counters.add(&counters.split_tasks, st.split_tasks);
@@ -560,39 +464,12 @@ fn neighbor_search_scratch(
     } else {
         counters.add(&counters.searched_mc, 1);
         let mut st = McStats::default();
-        let live = LiveNodes::new(&counters.mc_nodes);
-        let r = match sched {
-            Some(js) if threads > 1 => max_clique_dense_sched_live(
-                adj,
-                &scr.within,
-                lb,
-                &js.handle,
-                js.meta,
-                threads,
-                stop,
-                Some(&mut st),
-                clique,
-                live,
-            ),
-            _ if threads > 1 => max_clique_dense_par_live(
-                adj,
-                &scr.within,
-                lb,
-                threads,
-                Some(&mut st),
-                clique,
-                live,
-            ),
-            _ => max_clique_dense_scratch_live(
-                adj,
-                &scr.within,
-                lb,
-                Some(&mut st),
-                &mut scr.solver.mc,
-                clique,
-                live,
-            ),
+        let ctx = SolveCtx {
+            stats: Some(&mut st),
+            live: LiveNodes::new(&counters.mc_nodes),
+            sched: Some(binding),
         };
+        let r = max_clique_search(adj, within, lb, &mut scr.solver.mc, clique, ctx);
         counters.add(&counters.mc_nodes, st.nodes - st.sampled);
         counters.add(&counters.split_tasks, st.split_tasks);
         counters.add(&counters.steals, st.steals);
@@ -803,6 +680,15 @@ mod tests {
         }
     }
 
+    /// A binding at `width` to `pool` (width 1 never submits a task).
+    fn job_on(pool: &lazymc_sched::Pool, width: usize) -> JobSched {
+        JobSched {
+            handle: pool.handle(),
+            meta: lazymc_sched::TaskMeta::adhoc(),
+            width,
+        }
+    }
+
     fn solve_systematic(g: &CsrGraph) -> usize {
         let kc = kcore_sequential(g);
         let ord = coreness_degree_order(g, &kc.coreness);
@@ -821,6 +707,7 @@ mod tests {
             &inc,
             &counters,
             &Deadline::none(),
+            &job_on(&lazymc_sched::Pool::new(1), 1),
         );
         assert!(g.is_clique(&inc.clique()));
         inc.size()
@@ -872,6 +759,7 @@ mod tests {
             &inc,
             &counters,
             &Deadline::none(),
+            &job_on(&lazymc_sched::Pool::new(1), 1),
         );
         let snap = crate::metrics::snapshot_counters(&counters);
         assert_eq!(inc.size(), 6, "ω must not regress");
@@ -907,6 +795,7 @@ mod tests {
                 &inc,
                 &counters,
                 &Deadline::none(),
+                &job_on(&lazymc_sched::Pool::new(1), 1),
             );
             let snap = crate::metrics::snapshot_counters(&counters);
             if phi == 0.0 {
@@ -922,12 +811,14 @@ mod tests {
     #[test]
     fn intra_solve_parallelism_splits_and_agrees() {
         // Dense G(n,p): filtered neighbourhoods are large enough to split.
-        // Searching every right-neighbourhood with an intra-solve budget of
-        // 4 threads must (a) reach ω — every clique has a least vertex in
-        // the order, whose right-neighbourhood holds the rest — and
-        // (b) actually exercise the work-splitting driver.
+        // Searching every right-neighbourhood at an intra-solve width of 4
+        // on a shared pool must (a) reach ω — every clique has a least
+        // vertex in the order, whose right-neighbourhood holds the rest —
+        // and (b) actually exercise the work-splitting driver.
         let g = gen::gnp(100, 0.6, 42);
         let expected = crate::solve(&g).size();
+        let pool = lazymc_sched::Pool::new(3);
+        let js = job_on(&pool, 4);
         let kc = kcore_sequential(&g);
         let ord = coreness_degree_order(&g, &kc.coreness);
         let inc = Incumbent::new();
@@ -943,8 +834,8 @@ mod tests {
                 inc: &inc,
                 counters: &counters,
                 deadline: &deadline,
+                sched: &js,
                 solver_threads: 4,
-                sched: None,
             };
             neighbor_search(&f.lg, v, &ctx);
         }
@@ -953,72 +844,25 @@ mod tests {
         let snap = crate::metrics::snapshot_counters(&counters);
         assert!(
             snap.split_tasks > 0,
-            "dense neighbourhoods at 4 threads must generate subtree tasks"
-        );
-    }
-
-    #[test]
-    fn sched_driven_sweep_splits_and_agrees() {
-        // The same dense instance, but with the sweep and the subtree
-        // splits running as stealable tasks on a shared pool instead of a
-        // job-scoped rayon team: ω must match, and the subtree drivers
-        // must actually engage (split tasks recorded).
-        let g = gen::gnp(100, 0.6, 42);
-        let expected = crate::solve(&g).size();
-        let pool = lazymc_sched::Pool::new(3);
-        let js = JobSched {
-            handle: pool.handle(),
-            meta: lazymc_sched::TaskMeta::adhoc(),
-            width: 4,
-        };
-        let kc = kcore_sequential(&g);
-        let ord = coreness_degree_order(&g, &kc.coreness);
-        let inc = Incumbent::new();
-        let (u, v) = g.edges().next().unwrap();
-        inc.offer(&[u, v]);
-        let f = fixture(&g, &ord, &kc.coreness, kc.degeneracy, &inc);
-        let counters = Counters::default();
-        let cfg = Config::default();
-        let deadline = Deadline::none();
-        for v in 0..g.num_vertices() as u32 {
-            let ctx = SearchCtx {
-                cfg: &cfg,
-                inc: &inc,
-                counters: &counters,
-                deadline: &deadline,
-                solver_threads: 4,
-                sched: Some(&js),
-            };
-            neighbor_search(&f.lg, v, &ctx);
-        }
-        assert_eq!(inc.size(), expected, "scheduler must not change ω");
-        assert!(g.is_clique(&inc.clique()));
-        let snap = crate::metrics::snapshot_counters(&counters);
-        assert!(
-            snap.split_tasks > 0,
-            "dense neighbourhoods on the pool must generate subtree tasks"
+            "dense neighbourhoods at width 4 must generate subtree tasks"
         );
     }
 
     #[test]
     fn sched_full_sweep_matches_plain() {
-        // systematic_search_on with a pool binding: whole levels fan out
-        // as scope units; ω matches the rayon path.
+        // A pool binding at width 3: whole levels fan out as scope units;
+        // ω matches the width-1 sweep.
         let g = gen::dense_overlap(120, 15, 8, 14, 0.15, 9);
         let expected = solve_systematic(&g);
         let pool = lazymc_sched::Pool::new(2);
-        let js = JobSched {
-            handle: pool.handle(),
-            meta: lazymc_sched::TaskMeta::adhoc(),
-            width: 3,
-        };
+        let js = job_on(&pool, 3);
         let kc = kcore_sequential(&g);
         let ord = coreness_degree_order(&g, &kc.coreness);
         let inc = Incumbent::new();
         inc.offer(&[0]);
         let f = fixture(&g, &ord, &kc.coreness, kc.degeneracy, &inc);
         let counters = Counters::default();
-        systematic_search_on(
+        systematic_search(
             &f.lg,
             &f.levels,
             f.degeneracy,
@@ -1026,7 +870,7 @@ mod tests {
             &inc,
             &counters,
             &Deadline::none(),
-            Some(&js),
+            &js,
         );
         assert_eq!(inc.size(), expected);
         assert!(g.is_clique(&inc.clique()));
@@ -1039,6 +883,8 @@ mod tests {
         let g = gen::gnp(80, 0.55, 7);
         let kc = kcore_sequential(&g);
         let ord = coreness_degree_order(&g, &kc.coreness);
+        let pool = lazymc_sched::Pool::new(2);
+        let js = job_on(&pool, 1);
         let mut node_counts = Vec::new();
         for _ in 0..2 {
             let inc = Incumbent::new();
@@ -1054,8 +900,8 @@ mod tests {
                     inc: &inc,
                     counters: &counters,
                     deadline: &deadline,
+                    sched: &js,
                     solver_threads: 1,
-                    sched: None,
                 };
                 neighbor_search(&f.lg, v, &ctx);
             }

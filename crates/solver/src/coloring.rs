@@ -132,6 +132,7 @@ pub fn color_order(adj: &BitMatrix, cand: &Bitset, order: &mut Vec<u32>, bound: 
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

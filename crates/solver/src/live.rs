@@ -8,9 +8,11 @@
 //! per ~4k nodes, so the sequential kernels keep their deterministic
 //! node counts and their zero-steady-state-allocation inner loop.
 //!
-//! Totals stay exact: every flushed batch is also recorded in the
-//! run's `sampled` statistic, and callers that accumulate `nodes` after
-//! the call add only the residual `nodes - sampled`.
+//! Split searches also flush each scope unit's remainder when the unit
+//! finishes, so progress moves unit by unit. Totals stay exact: every
+//! flushed batch is also recorded in the run's `sampled` statistic, and
+//! callers that accumulate `nodes` after the call add only the residual
+//! `nodes - sampled`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,6 +46,18 @@ impl<'a> LiveNodes<'a> {
             }
         }
     }
+
+    /// Drains the not-yet-flushed remainder `nodes - sampled` into the
+    /// sink and records it in `sampled`. Scope units call this when they
+    /// finish, so an observer sees a split search move unit by unit even
+    /// when every subtree is shorter than [`SAMPLE_INTERVAL`].
+    #[inline]
+    pub fn flush(&self, nodes: u64, sampled: &mut u64) {
+        if let Some(sink) = self.sink {
+            sink.fetch_add(nodes - *sampled, Ordering::Relaxed);
+            *sampled = nodes;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -72,5 +86,23 @@ mod tests {
         assert_eq!(sampled, 2 * SAMPLE_INTERVAL);
         // The caller's residual add makes the total exact.
         assert_eq!(sink.load(Ordering::Relaxed) + (total - sampled), total);
+    }
+
+    #[test]
+    fn flush_drains_the_remainder_once() {
+        let sink = AtomicU64::new(0);
+        let live = LiveNodes::new(&sink);
+        let mut sampled = 0u64;
+        for n in 1..=SAMPLE_INTERVAL + 5 {
+            live.tick(n, &mut sampled);
+        }
+        live.flush(SAMPLE_INTERVAL + 5, &mut sampled);
+        assert_eq!(sink.load(Ordering::Relaxed), SAMPLE_INTERVAL + 5);
+        assert_eq!(sampled, SAMPLE_INTERVAL + 5);
+        live.flush(SAMPLE_INTERVAL + 5, &mut sampled);
+        assert_eq!(sink.load(Ordering::Relaxed), SAMPLE_INTERVAL + 5);
+        let mut untouched = 0u64;
+        LiveNodes::NONE.flush(9, &mut untouched);
+        assert_eq!(untouched, 0);
     }
 }

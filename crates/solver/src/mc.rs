@@ -17,10 +17,9 @@
 use crate::bitset::{BitMatrix, Bitset};
 use crate::coloring::{color_order_scratch, ColorScratch};
 use crate::live::LiveNodes;
-use crate::par::{SharedBest, StopFn};
+use crate::par::{pinto, plock, SchedCtx, SharedBest, SolveCtx, StopFn};
 use crate::scratch::Pool;
-use lazymc_sched::{SchedHandle, Scope, TaskMeta};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use lazymc_sched::Scope;
 use std::sync::Mutex;
 
 /// Search statistics, used by the work-accounting figures.
@@ -33,8 +32,8 @@ pub struct McStats {
     /// sink after the call must add only `nodes - sampled` to keep the
     /// total exact.
     pub sampled: u64,
-    /// Subtree tasks generated by the parallel work-splitting driver
-    /// (0 for a sequential solve).
+    /// Subtree tasks generated by the work-splitting driver (0 for a
+    /// sequential solve).
     pub split_tasks: u64,
     /// Tasks executed by a worker other than the thread that generated
     /// them (a measure of how much work actually migrated).
@@ -66,7 +65,7 @@ struct DepthScratch {
 
 /// Reusable arena for the dense MC search: all per-depth state plus the
 /// coloring buffers and the clique vectors. Hold one per worker and thread
-/// it through [`max_clique_dense_scratch`] to make every node expansion
+/// it through [`max_clique_search`] to make every node expansion
 /// allocation-free after warm-up; buffers grow monotonically and are
 /// reshaped (never reallocated, once large enough) between solves.
 #[derive(Default)]
@@ -97,8 +96,8 @@ impl McScratch {
 
 /// How a searcher observes (and feeds) an incumbent beyond its own local
 /// best. The sequential kernel uses [`NoLink`], a zero-sized no-op that
-/// monomorphizes away entirely — `threads = 1` runs byte-for-byte today's
-/// search, with deterministic node counts. Parallel workers use
+/// monomorphizes away entirely — width 1 runs byte-for-byte the
+/// sequential search, with deterministic node counts. Scope units use
 /// [`SharedLink`], which reads the shared best-size atomic before bounding
 /// every node and publishes improvements the instant they are found.
 trait IncumbentLink {
@@ -108,7 +107,7 @@ trait IncumbentLink {
     fn publish(&self, clique: &[u32]);
     /// Whether the solve was told to stop (cancellation / deadline trip).
     /// Constant `false` for the sequential link, so the check folds away
-    /// and `threads = 1` stays bit-identical.
+    /// and width 1 stays bit-identical.
     fn halted(&self) -> bool;
 }
 
@@ -217,99 +216,68 @@ impl<L: IncumbentLink> Searcher<'_, L> {
     }
 }
 
-/// The scratch-arena entry point: finds a maximum clique of the subgraph
-/// induced by `within` *if it is larger than `lb`*, writing the witness
-/// into `out` and returning whether one was found. `out` is cleared either
-/// way. With a warm `scratch` (and `out` at capacity), the search performs
-/// no heap allocation at all.
-pub fn max_clique_dense_scratch(
+/// The MC engine's one entry point: finds a maximum clique of the
+/// subgraph induced by `within` *if it is larger than `lb`*, writing the
+/// witness into `out` and returning whether one was found. `out` is
+/// cleared either way.
+///
+/// Without a scheduler binding (or at width ≤ 1, or below the split
+/// cutoff) this is the deterministic sequential kernel on `scratch`: with
+/// a warm arena (and `out` at capacity) it performs no heap allocation.
+/// Bound to a pool at width ≥ 2, the top one/two branch levels become
+/// claimable scope units that any idle pool worker can execute against
+/// one shared incumbent (`SharedBest`) — an improvement found anywhere
+/// immediately shrinks every other worker's tree. Units re-split one
+/// level deeper when the pool reports idle capacity, and the binding's
+/// stop hook (deadline / cancellation) halts every running subtree at its
+/// next node. Node counts at width ≥ 2 depend on scheduling; the
+/// *result* does not.
+pub fn max_clique_search(
     adj: &BitMatrix,
     within: &Bitset,
     lb: usize,
-    stats: Option<&mut McStats>,
     scratch: &mut McScratch,
     out: &mut Vec<u32>,
-) -> bool {
-    max_clique_dense_scratch_live(adj, within, lb, stats, scratch, out, LiveNodes::NONE)
-}
-
-/// [`max_clique_dense_scratch`] with a live node-count sink: the search
-/// drains its node count into `live` every few thousand expansions so an
-/// observer can watch a long solve move. `LiveNodes::NONE` is exactly
-/// the plain kernel.
-pub fn max_clique_dense_scratch_live(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    stats: Option<&mut McStats>,
-    scratch: &mut McScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
+    ctx: SolveCtx<'_, McStats>,
 ) -> bool {
     out.clear();
     if adj.is_empty() || within.len() <= lb {
         return false;
     }
-    if scratch.depths.is_empty() {
-        scratch.depths.push(DepthScratch::default());
-    }
-    scratch.depths[0].cand.copy_from(within);
-    scratch.current.clear();
-    scratch.best_clique.clear();
-    let mut s = Searcher {
-        adj,
-        best: lb,
-        found: false,
-        stats: McStats::default(),
-        scratch,
-        link: NoLink,
-        live,
+    let mut local = McStats::default();
+    let found = match ctx.split() {
+        Some(sched) if within.len() >= SPLIT_MIN_VERTICES => {
+            search_on_pool(adj, within, lb, sched, &mut local, out, ctx.live)
+        }
+        _ => {
+            let found = run(adj, within, &[], lb, NoLink, scratch, &mut local, ctx.live);
+            if found {
+                out.extend_from_slice(&scratch.best_clique);
+            }
+            found
+        }
     };
-    s.expand(0);
-    let (found, local) = (s.found, s.stats);
-    if let Some(o) = stats {
-        o.nodes += local.nodes;
-        o.sampled += local.sampled;
-    }
-    if found {
-        out.extend_from_slice(&scratch.best_clique);
+    if let Some(s) = ctx.stats {
+        s.merge(&local);
     }
     found
 }
 
-/// Runs one split subtree task — the body of a parallel worker — against a
-/// shared incumbent: the search is rooted at the branch prefix `prefix`
-/// (already-chosen clique vertices) with residual candidate set `cand`,
-/// bounds against `max(shared.size(), …)` before coloring every node, and
-/// publishes improvements through `shared` the instant they are found.
-/// With a warm `scratch` this performs no heap allocation (the per-worker
-/// steady state the zero-alloc tests pin down); the witness of any
-/// improvement lives in `shared`, not in a return value.
-pub fn max_clique_dense_subtree(
+/// Runs the search rooted at branch prefix `prefix` (already-chosen
+/// clique vertices) over candidate set `cand`, bounding against `best`
+/// and whatever `link` reports. Returns whether a clique larger than
+/// `best` was found; its witness is left in `scratch.best_clique`.
+#[allow(clippy::too_many_arguments)]
+fn run<L: IncumbentLink>(
     adj: &BitMatrix,
     cand: &Bitset,
     prefix: &[u32],
-    shared: &SharedBest,
-    stats: Option<&mut McStats>,
+    best: usize,
+    link: L,
     scratch: &mut McScratch,
-) {
-    max_clique_dense_subtree_live(adj, cand, prefix, shared, stats, scratch, LiveNodes::NONE)
-}
-
-/// [`max_clique_dense_subtree`] with a live node-count sink (see
-/// [`max_clique_dense_scratch_live`]).
-pub fn max_clique_dense_subtree_live(
-    adj: &BitMatrix,
-    cand: &Bitset,
-    prefix: &[u32],
-    shared: &SharedBest,
-    stats: Option<&mut McStats>,
-    scratch: &mut McScratch,
+    stats: &mut McStats,
     live: LiveNodes<'_>,
-) {
-    if adj.is_empty() || cand.is_empty() {
-        return;
-    }
+) -> bool {
     if scratch.depths.is_empty() {
         scratch.depths.push(DepthScratch::default());
     }
@@ -319,27 +287,55 @@ pub fn max_clique_dense_subtree_live(
     scratch.best_clique.clear();
     let mut s = Searcher {
         adj,
-        best: shared.size(),
+        best,
         found: false,
         stats: McStats::default(),
         scratch,
-        link: SharedLink(shared),
+        link,
         live,
     };
     s.expand(0);
-    let local = s.stats;
-    if let Some(o) = stats {
-        o.nodes += local.nodes;
-        o.sampled += local.sampled;
+    stats.merge(&s.stats);
+    s.found
+}
+
+/// Runs one split subtree task — the body of a scope unit — against a
+/// shared incumbent: bounds against `max(shared.size(), …)` before
+/// coloring every node, and publishes improvements through `shared` the
+/// instant they are found. With a warm `scratch` this performs no heap
+/// allocation (the per-worker steady state the zero-alloc tests pin
+/// down); the witness of any improvement lives in `shared`.
+fn search_subtree(
+    adj: &BitMatrix,
+    cand: &Bitset,
+    prefix: &[u32],
+    shared: &SharedBest,
+    stats: &mut McStats,
+    scratch: &mut McScratch,
+    live: LiveNodes<'_>,
+) {
+    if adj.is_empty() || cand.is_empty() {
+        return;
     }
+    let best = shared.size();
+    run(
+        adj,
+        cand,
+        prefix,
+        best,
+        SharedLink(shared),
+        scratch,
+        stats,
+        live,
+    );
 }
 
 // ---------------------------------------------------------------------------
-// Parallel work-splitting driver
+// Work splitting on the scheduler
 // ---------------------------------------------------------------------------
 
-/// Below this many candidates a parallel solve is not worth splitting:
-/// the subtree tasks would be cheaper than the scoped-thread spawns.
+/// Below this many candidates a solve is not worth splitting: the subtree
+/// units would be cheaper than the scheduling round-trips.
 const SPLIT_MIN_VERTICES: usize = 32;
 
 /// One branch-prefix subtree task: up to two chosen vertices plus the
@@ -351,33 +347,82 @@ struct McTask {
     /// Upper bound on any clique in this subtree: the prefix plus the
     /// candidate set lies inside the generating level's color classes
     /// `order[0..=i]`, so `(plen - 1) + bound[i]` bounds the whole task —
-    /// the same tight form the kernel's own prune rule uses. Workers
+    /// the same tight form the kernel's own prune rule uses. Units
     /// re-check it against the shared incumbent at claim time, so tasks
     /// pruned by another worker's improvement are skipped unopened.
     ub: u32,
     cand: Bitset,
 }
 
-/// Pooled buffers for task generation: the root coloring, the working
-/// candidate sets, and the task arena itself (bitsets reused across
-/// solves, so a warm split allocates nothing).
+/// Buffers of one branch-level expansion: the coloring and the working
+/// candidate sets (reused across solves, so a warm split allocates
+/// nothing).
 #[derive(Default)]
-struct McSplitScratch {
+struct ExpandScratch {
     color: ColorScratch,
     work: Bitset,
     child: Bitset,
     order: Vec<u32>,
     bound: Vec<u32>,
+}
+
+impl ExpandScratch {
+    /// Expands the node `prefix + cand` one branch level, exactly as the
+    /// kernel would: every child `prefix + [u]` whose color bound can
+    /// still beat `shared` becomes a task in `tasks[*live..]`, and trivial
+    /// leaves are offered to `shared` directly. Counts as one node.
+    #[allow(clippy::too_many_arguments)]
+    fn expand(
+        &mut self,
+        adj: &BitMatrix,
+        prefix: &[u32],
+        cand: &Bitset,
+        shared: &SharedBest,
+        tasks: &mut Vec<McTask>,
+        live: &mut usize,
+        stats: &mut McStats,
+    ) {
+        color_order_scratch(adj, cand, &mut self.order, &mut self.bound, &mut self.color);
+        self.work.copy_from(cand);
+        stats.nodes += 1;
+        let plen = prefix.len() + 1;
+        let mut path = [0u32; 2];
+        path[..prefix.len()].copy_from_slice(prefix);
+        for i in (0..self.order.len()).rev() {
+            let ub = prefix.len() as u32 + self.bound[i];
+            if ub as usize <= shared.size() {
+                break; // bounds ascend: everything before i prunes too
+            }
+            let u = self.order[i] as usize;
+            path[plen - 1] = u as u32;
+            self.child.reset_for_overwrite(self.work.capacity());
+            self.work.intersection_into(adj.row(u), &mut self.child);
+            if self.child.is_empty() {
+                shared.offer(&path[..plen]);
+            } else {
+                push_task(tasks, live, path, plen as u8, ub, &self.child);
+            }
+            self.work.remove(u);
+        }
+    }
+}
+
+/// Pooled buffers for task generation: the expansion buffers plus the
+/// task arena itself.
+#[derive(Default)]
+struct McSplitScratch {
+    bufs: ExpandScratch,
     tasks: Vec<McTask>,
     spill: Vec<McTask>,
 }
 
 impl McSplitScratch {
     fn heap_bytes(&self) -> usize {
-        self.color.heap_bytes()
-            + self.work.heap_bytes()
-            + self.child.heap_bytes()
-            + (self.order.capacity() + self.bound.capacity()) * 4
+        let b = &self.bufs;
+        b.color.heap_bytes()
+            + b.work.heap_bytes()
+            + b.child.heap_bytes()
+            + (b.order.capacity() + b.bound.capacity()) * 4
             + self
                 .tasks
                 .iter()
@@ -395,7 +440,7 @@ static MC_WORKER: Pool<McScratch> = Pool::with_retain(|s| s.heap_bytes() <= MAX_
 static MC_SPLIT: Pool<McSplitScratch> =
     Pool::with_retain(|s| s.heap_bytes() <= MAX_RETAINED_PAR_BYTES);
 
-/// Appends one task slot (reusing a warm slot when available) and returns
+/// Appends one task slot (reusing a warm slot when available) and bumps
 /// the count of live tasks.
 fn push_task(
     tasks: &mut Vec<McTask>,
@@ -418,8 +463,8 @@ fn push_task(
 
 /// Expands the top of the branch-and-bound tree into subtree tasks in
 /// `split.tasks`: the root level first, then — when that yields fewer
-/// tasks than `width` claimants — each root task's second level. Trivial
-/// leaves are offered to `shared` directly. Returns the live task count.
+/// tasks than `width` claimants — each root task's second level. Returns
+/// the live task count.
 fn gen_mc_tasks(
     adj: &BitMatrix,
     within: &Bitset,
@@ -428,191 +473,28 @@ fn gen_mc_tasks(
     split: &mut McSplitScratch,
     local: &mut McStats,
 ) -> usize {
+    let McSplitScratch { bufs, tasks, spill } = split;
     let mut live = 0usize;
-    color_order_scratch(
-        adj,
-        within,
-        &mut split.order,
-        &mut split.bound,
-        &mut split.color,
-    );
-    split.work.copy_from(within);
-    local.nodes += 1; // the root expansion
-    for i in (0..split.order.len()).rev() {
-        if split.bound[i] as usize <= shared.size() {
-            break; // bounds ascend: everything before i prunes too
-        }
-        let v = split.order[i] as usize;
-        split.child.reset_for_overwrite(split.work.capacity());
-        split.work.intersection_into(adj.row(v), &mut split.child);
-        if split.child.is_empty() {
-            shared.offer(&[v as u32]);
-        } else {
-            push_task(
-                &mut split.tasks,
-                &mut live,
-                [v as u32, 0],
-                1,
-                split.bound[i],
-                &split.child,
-            );
-        }
-        split.work.remove(v);
-    }
-    // --- Second-level split when the root is narrower than the crew --
+    bufs.expand(adj, &[], within, shared, tasks, &mut live, local);
+    // Second-level split when the root is narrower than the crew.
     if live > 0 && live < width {
-        std::mem::swap(&mut split.tasks, &mut split.spill);
+        std::mem::swap(tasks, spill);
         let level0 = live;
         live = 0;
-        for ti in 0..level0 {
-            let McSplitScratch {
-                color,
-                work,
-                child,
-                order,
-                bound,
+        for t in &spill[..level0] {
+            bufs.expand(
+                adj,
+                &t.prefix[..1],
+                &t.cand,
+                shared,
                 tasks,
-                spill,
-            } = &mut *split;
-            let t = &spill[ti];
-            let v = t.prefix[0];
-            color_order_scratch(adj, &t.cand, order, bound, color);
-            work.copy_from(&t.cand);
-            local.nodes += 1;
-            for i in (0..order.len()).rev() {
-                if (bound[i] as usize) < shared.size() {
-                    break;
-                }
-                let u = order[i] as usize;
-                child.reset_for_overwrite(work.capacity());
-                work.intersection_into(adj.row(u), child);
-                if child.is_empty() {
-                    shared.offer(&[v, u as u32]);
-                } else {
-                    push_task(tasks, &mut live, [v, u as u32], 2, 1 + bound[i], child);
-                }
-                work.remove(u);
-            }
+                &mut live,
+                local,
+            );
         }
     }
     live
 }
-
-/// Parallel maximum clique of the subgraph induced by `within`, if larger
-/// than `lb`: the top one/two levels of the branch-and-bound tree are
-/// split into independent subtree tasks executed by `threads` scoped
-/// workers that share one incumbent ([`SharedBest`]) — an improvement
-/// found on any thread immediately shrinks every other worker's tree.
-///
-/// Falls back to the (deterministic) sequential kernel when `threads <= 1`
-/// or the candidate set is too small to be worth splitting; worker arenas
-/// and the task buffers come from static pools, so repeated solves reach
-/// the same zero-steady-state-allocation regime as the sequential path
-/// (each worker's inner loop allocates nothing once warm). Node counts at
-/// `threads > 1` depend on scheduling; the *result* does not.
-pub fn max_clique_dense_par(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut McStats>,
-    out: &mut Vec<u32>,
-) -> bool {
-    max_clique_dense_par_live(adj, within, lb, threads, stats, out, LiveNodes::NONE)
-}
-
-/// [`max_clique_dense_par`] with a live node-count sink shared by every
-/// worker (see [`max_clique_dense_scratch_live`]).
-pub fn max_clique_dense_par_live(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut McStats>,
-    out: &mut Vec<u32>,
-    sink: LiveNodes<'_>,
-) -> bool {
-    out.clear();
-    if adj.is_empty() || within.len() <= lb {
-        return false;
-    }
-    if threads <= 1 || within.len() < SPLIT_MIN_VERTICES {
-        return MC_WORKER
-            .with(|scr| max_clique_dense_scratch_live(adj, within, lb, stats, scr, out, sink));
-    }
-    let shared = SharedBest::with_floor(lb);
-    // Publications of any clique this subgraph can produce must not
-    // allocate (per-worker steady state).
-    shared.reserve(within.len());
-    let mut local = McStats::default();
-    MC_SPLIT.with(|split| {
-        let live = gen_mc_tasks(adj, within, threads, &shared, split, &mut local);
-        local.split_tasks += live as u64;
-        if live == 0 {
-            return;
-        }
-        // --- Execution: scoped workers claim tasks from a shared queue ---
-        let tasks = &split.tasks[..live];
-        let next = AtomicUsize::new(0);
-        let crew = threads.min(live);
-        std::thread::scope(|s| {
-            let shared = &shared;
-            let next = &next;
-            let handles: Vec<_> = (1..crew)
-                .map(|_| s.spawn(move || mc_worker(adj, tasks, next, shared, false, sink)))
-                .collect();
-            local.merge(&mc_worker(adj, tasks, next, shared, true, sink));
-            for h in handles {
-                local.merge(&h.join().expect("mc worker panicked"));
-            }
-        });
-    });
-    local.incumbent_broadcasts += shared.broadcasts();
-    if let Some(s) = stats {
-        s.merge(&local);
-    }
-    shared.clique_into(out)
-}
-
-/// One worker of a parallel MC solve: claims tasks off the shared queue
-/// until it drains, skipping (unopened) any task whose generation-time
-/// bound no longer beats the shared incumbent.
-fn mc_worker(
-    adj: &BitMatrix,
-    tasks: &[McTask],
-    next: &AtomicUsize,
-    shared: &SharedBest,
-    is_generator: bool,
-    live: LiveNodes<'_>,
-) -> McStats {
-    let mut stats = McStats::default();
-    let mut scratch = MC_WORKER.take();
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(t) = tasks.get(i) else { break };
-        if t.ub as usize <= shared.size() {
-            continue; // another worker's incumbent pruned this subtree
-        }
-        if !is_generator {
-            stats.steals += 1; // counted only for tasks actually executed
-        }
-        max_clique_dense_subtree_live(
-            adj,
-            &t.cand,
-            &t.prefix[..t.plen as usize],
-            shared,
-            Some(&mut stats),
-            &mut scratch,
-            live,
-        );
-    }
-    MC_WORKER.put(scratch);
-    stats
-}
-
-// ---------------------------------------------------------------------------
-// Machine-wide scheduler driver
-// ---------------------------------------------------------------------------
 
 /// Task arena of one scheduler-run MC solve: scope unit `i` owns slot `i`.
 /// Re-splits append new slots under the lock and publish the indices to
@@ -622,70 +504,24 @@ struct McArena {
     live: usize,
 }
 
-/// [`max_clique_dense_sched_live`] without a live sink.
-#[allow(clippy::too_many_arguments)]
-pub fn max_clique_dense_sched(
+/// The split path of [`max_clique_search`]: generates the subtree tasks,
+/// runs them as one scope on the bound pool (the calling thread claims
+/// units too), and collects the shared incumbent's witness into `out`.
+fn search_on_pool(
     adj: &BitMatrix,
     within: &Bitset,
     lb: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
-    stats: Option<&mut McStats>,
-    out: &mut Vec<u32>,
-) -> bool {
-    max_clique_dense_sched_live(
-        adj,
-        within,
-        lb,
-        sched,
-        meta,
-        width,
-        should_stop,
-        stats,
-        out,
-        LiveNodes::NONE,
-    )
-}
-
-/// Maximum clique of the subgraph induced by `within` (if larger than
-/// `lb`) on the machine-wide scheduler: the top branch levels become
-/// claimable scope units that any idle pool worker — including workers
-/// of *other* solves between their own claims — can execute against this
-/// job's [`SharedBest`]. Units re-split one level deeper when the pool
-/// reports idle capacity, and `should_stop` (deadline / cancellation)
-/// halts every stolen subtree mid-search via the shared incumbent's halt
-/// flag.
-///
-/// `width <= 1` runs the bit-identical sequential kernel, exactly like
-/// the scoped-thread driver.
-#[allow(clippy::too_many_arguments)]
-pub fn max_clique_dense_sched_live(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
-    stats: Option<&mut McStats>,
+    sched: SchedCtx<'_>,
+    local: &mut McStats,
     out: &mut Vec<u32>,
     sink: LiveNodes<'_>,
 ) -> bool {
-    out.clear();
-    if adj.is_empty() || within.len() <= lb {
-        return false;
-    }
-    if width <= 1 || within.len() < SPLIT_MIN_VERTICES {
-        return MC_WORKER
-            .with(|scr| max_clique_dense_scratch_live(adj, within, lb, stats, scr, out, sink));
-    }
     let shared = SharedBest::with_floor(lb);
+    // Publications of any clique this subgraph can produce must not
+    // allocate (per-worker steady state).
     shared.reserve(within.len());
-    let mut local = McStats::default();
     let mut split = MC_SPLIT.take();
-    let live = gen_mc_tasks(adj, within, width, &shared, &mut split, &mut local);
+    let live = gen_mc_tasks(adj, within, sched.width, &shared, &mut split, local);
     local.split_tasks += live as u64;
     if live > 0 {
         let arena = Mutex::new(McArena {
@@ -693,17 +529,16 @@ pub fn max_clique_dense_sched_live(
             live,
         });
         let agg = Mutex::new(McStats::default());
-        sched.scope(meta, width - 1, live, &|sc, i| {
-            mc_sched_unit(adj, &arena, i, &shared, should_stop, &agg, sc, sink);
-        });
-        local.merge(&agg.into_inner().unwrap());
-        split.tasks = arena.into_inner().unwrap().tasks;
+        sched
+            .handle
+            .scope(sched.meta, sched.width - 1, live, &|sc, i| {
+                mc_sched_unit(adj, &arena, i, &shared, sched.stop, &agg, sc, sink);
+            });
+        local.merge(&pinto(agg));
+        split.tasks = pinto(arena).tasks;
     }
     MC_SPLIT.put(split);
     local.incumbent_broadcasts += shared.broadcasts();
-    if let Some(s) = stats {
-        s.merge(&local);
-    }
     shared.clique_into(out)
 }
 
@@ -733,21 +568,18 @@ fn mc_sched_unit(
         }
     }
     if !shared.halted() {
-        let t = {
-            let mut g = arena.lock().unwrap();
-            std::mem::take(&mut g.tasks[i])
-        };
+        let t = std::mem::take(&mut plock(arena).tasks[i]);
         if t.ub as usize > shared.size() {
             if t.plen == 1 && t.cand.len() >= SPLIT_MIN_VERTICES && sc.idle_workers() > 0 {
                 resplit_mc_task(adj, arena, &t, shared, sc, &mut stats);
             } else {
                 let mut scratch = MC_WORKER.take();
-                max_clique_dense_subtree_live(
+                search_subtree(
                     adj,
                     &t.cand,
                     &t.prefix[..t.plen as usize],
                     shared,
-                    Some(&mut stats),
+                    &mut stats,
                     &mut scratch,
                     sink,
                 );
@@ -755,9 +587,10 @@ fn mc_sched_unit(
             }
         }
         // Return the slot (and its warm buffers) for later solves.
-        arena.lock().unwrap().tasks[i] = t;
+        plock(arena).tasks[i] = t;
     }
-    agg.lock().unwrap().merge(&stats);
+    sink.flush(stats.nodes, &mut stats.sampled);
+    plock(agg).merge(&stats);
 }
 
 /// Expands a one-vertex-prefix task into its second-level children,
@@ -773,37 +606,14 @@ fn resplit_mc_task(
     stats: &mut McStats,
 ) {
     let mut gen = MC_SPLIT.take();
-    color_order_scratch(adj, &t.cand, &mut gen.order, &mut gen.bound, &mut gen.color);
-    gen.work.copy_from(&t.cand);
-    stats.nodes += 1;
-    let v = t.prefix[0];
     let fresh = {
-        let mut g = arena.lock().unwrap();
-        let mut live = g.live;
-        for i in (0..gen.order.len()).rev() {
-            if (gen.bound[i] as usize) < shared.size() {
-                break;
-            }
-            let u = gen.order[i] as usize;
-            gen.child.reset_for_overwrite(gen.work.capacity());
-            gen.work.intersection_into(adj.row(u), &mut gen.child);
-            if gen.child.is_empty() {
-                shared.offer(&[v, u as u32]);
-            } else {
-                push_task(
-                    &mut g.tasks,
-                    &mut live,
-                    [v, u as u32],
-                    2,
-                    1 + gen.bound[i],
-                    &gen.child,
-                );
-            }
-            gen.work.remove(u);
-        }
-        let fresh = live - g.live;
-        g.live = live;
-        fresh
+        let mut g = plock(arena);
+        let McArena { tasks, live } = &mut *g;
+        let live0 = *live;
+        let prefix = &t.prefix[..1];
+        gen.bufs
+            .expand(adj, prefix, &t.cand, shared, tasks, live, stats);
+        *live - live0
     };
     MC_SPLIT.put(gen);
     stats.split_tasks += fresh as u64;
@@ -814,31 +624,23 @@ fn resplit_mc_task(
 ///
 /// Returns `Some(clique)` with `clique.len() == ω(G) > lb`, or `None` when
 /// `ω(G) <= lb` — the caller's incumbent already covers this subgraph.
-/// `stats`, when provided, accumulates node counts.
+/// `stats`, when provided, accumulates node counts. One-shot sequential
+/// convenience over [`max_clique_search`].
 pub fn max_clique_dense(
     adj: &BitMatrix,
     lb: usize,
     stats: Option<&mut McStats>,
 ) -> Option<Vec<u32>> {
-    let n = adj.len();
-    if n == 0 || n <= lb {
-        return None;
-    }
-    max_clique_dense_within(adj, &Bitset::full(n), lb, stats)
-}
-
-/// [`max_clique_dense`] restricted to the vertices of `within` — used when
-/// a reduction pass has already discarded part of the subgraph. One-shot
-/// convenience over [`max_clique_dense_scratch`].
-pub fn max_clique_dense_within(
-    adj: &BitMatrix,
-    within: &Bitset,
-    lb: usize,
-    stats: Option<&mut McStats>,
-) -> Option<Vec<u32>> {
-    let mut scratch = McScratch::default();
     let mut out = Vec::new();
-    max_clique_dense_scratch(adj, within, lb, stats, &mut scratch, &mut out).then_some(out)
+    max_clique_search(
+        adj,
+        &Bitset::full(adj.len()),
+        lb,
+        &mut McScratch::default(),
+        &mut out,
+        SolveCtx::with_stats(stats),
+    )
+    .then_some(out)
 }
 
 /// Iterated degree reduction within a candidate set: removes every vertex
@@ -876,6 +678,7 @@ pub fn max_clique_exact(adj: &BitMatrix) -> Vec<u32> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -978,45 +781,56 @@ mod tests {
             (from_edges(3, &[(0, 1), (1, 2), (2, 0)]), 3),
         ];
         for (m, omega) in &graphs {
-            let found = max_clique_dense_scratch(
-                m,
-                &Bitset::full(m.len()),
-                0,
-                None,
-                &mut scratch,
-                &mut out,
-            );
+            let full = Bitset::full(m.len());
+            let found = max_clique_search(m, &full, 0, &mut scratch, &mut out, SolveCtx::default());
             assert!(found);
             assert_eq!(out.len(), *omega);
             assert!(m.is_clique(&out));
         }
         // lb suppression leaves out empty
         let (m, _) = &graphs[0];
-        assert!(!max_clique_dense_scratch(
+        let full = Bitset::full(m.len());
+        assert!(!max_clique_search(
             m,
-            &Bitset::full(m.len()),
+            &full,
             4,
-            None,
             &mut scratch,
-            &mut out
+            &mut out,
+            SolveCtx::default()
         ));
         assert!(out.is_empty());
     }
 
-    use crate::test_util::pseudo_graph as pseudo_dense;
+    use crate::test_util::{on_pool, pseudo_graph as pseudo_dense, thread_allocs};
+
+    /// [`max_clique_search`] on the test pool at `width`.
+    fn search_at(m: &BitMatrix, lb: usize, width: usize, stats: Option<&mut McStats>) -> Vec<u32> {
+        let mut out = Vec::new();
+        let ctx = SolveCtx {
+            stats,
+            sched: Some(on_pool(width)),
+            ..SolveCtx::default()
+        };
+        max_clique_search(
+            m,
+            &Bitset::full(m.len()),
+            lb,
+            &mut McScratch::new(),
+            &mut out,
+            ctx,
+        );
+        out
+    }
 
     #[test]
     fn parallel_matches_sequential() {
         for (n, p, seed) in [(60, 400, 3), (80, 550, 11), (48, 700, 29)] {
             let m = pseudo_dense(n, p, seed);
             let expect = max_clique_exact(&m);
-            for threads in [2, 4, 8] {
-                let mut out = Vec::new();
+            for width in [2, 4, 8] {
                 let mut st = McStats::default();
-                let found =
-                    max_clique_dense_par(&m, &Bitset::full(n), 0, threads, Some(&mut st), &mut out);
-                assert!(found, "n={n} threads={threads}");
-                assert_eq!(out.len(), expect.len(), "n={n} threads={threads}");
+                let out = search_at(&m, 0, width, Some(&mut st));
+                assert_eq!(out.len(), expect.len(), "n={n} width={width}");
                 assert!(m.is_clique(&out));
                 assert!(st.nodes > 0);
                 assert!(st.split_tasks > 0, "n={n} must be worth splitting");
@@ -1028,25 +842,8 @@ mod tests {
     fn parallel_respects_lower_bound() {
         let m = pseudo_dense(64, 500, 5);
         let omega = max_clique_exact(&m).len();
-        let mut out = Vec::new();
-        assert!(!max_clique_dense_par(
-            &m,
-            &Bitset::full(64),
-            omega,
-            4,
-            None,
-            &mut out
-        ));
-        assert!(out.is_empty());
-        assert!(max_clique_dense_par(
-            &m,
-            &Bitset::full(64),
-            omega - 1,
-            4,
-            None,
-            &mut out
-        ));
-        assert_eq!(out.len(), omega);
+        assert!(search_at(&m, omega, 4, None).is_empty());
+        assert_eq!(search_at(&m, omega - 1, 4, None).len(), omega);
     }
 
     #[test]
@@ -1056,16 +853,8 @@ mod tests {
         let m = pseudo_dense(20, 500, 7);
         let mut seq = McStats::default();
         let expect = max_clique_dense(&m, 0, Some(&mut seq)).unwrap();
-        let mut out = Vec::new();
         let mut par = McStats::default();
-        assert!(max_clique_dense_par(
-            &m,
-            &Bitset::full(20),
-            0,
-            8,
-            Some(&mut par),
-            &mut out
-        ));
+        let out = search_at(&m, 0, 8, Some(&mut par));
         assert_eq!(out.len(), expect.len());
         assert_eq!(par.nodes, seq.nodes, "fallback must be the exact kernel");
         assert_eq!(par.split_tasks, 0);
@@ -1075,17 +864,109 @@ mod tests {
     fn subtree_task_publishes_through_shared_incumbent() {
         let m = pseudo_dense(40, 600, 13);
         let omega = max_clique_exact(&m).len();
-        let shared = crate::par::SharedBest::with_floor(0);
+        let shared = SharedBest::with_floor(0);
         let mut scratch = McScratch::new();
+        let mut st = McStats::default();
         // A task rooted at the empty prefix over the full candidate set is
         // the whole search: the shared incumbent must end at ω.
-        max_clique_dense_subtree(&m, &Bitset::full(40), &[], &shared, None, &mut scratch);
+        let full = Bitset::full(40);
+        search_subtree(
+            &m,
+            &full,
+            &[],
+            &shared,
+            &mut st,
+            &mut scratch,
+            LiveNodes::NONE,
+        );
         assert_eq!(shared.size(), omega);
         let mut out = Vec::new();
         assert!(shared.clique_into(&mut out));
         assert_eq!(out.len(), omega);
         assert!(m.is_clique(&out));
         assert!(shared.broadcasts() > 0);
+    }
+
+    #[test]
+    fn subtree_body_is_allocation_free_after_warmup() {
+        // The body of every MC scope unit is `search_subtree`: a
+        // branch-prefix task run against a shared incumbent. After one
+        // warm-up run, a worker's steady state — node expansions, bound
+        // refreshes from the shared atomic, *and* incumbent publications
+        // (the witness buffer is pre-reserved, as the split driver does) —
+        // must not touch the heap.
+        let adj = pseudo_dense(120, 550, 42);
+        let cand = Bitset::full(adj.len());
+        let mut scratch = McScratch::new();
+        let mut st = McStats::default();
+        let none = LiveNodes::NONE;
+
+        // Warm-up: grows the arena and establishes ω in a first incumbent.
+        let warm = SharedBest::with_floor(0);
+        warm.reserve(adj.len());
+        search_subtree(&adj, &cand, &[], &warm, &mut st, &mut scratch, none);
+        let omega = warm.size();
+        assert!(omega >= 3, "graph must be non-trivial, got omega {omega}");
+
+        // Steady state 1: a fresh shared incumbent (pre-reserved) makes the
+        // worker re-find and re-publish every improvement — still zero allocs.
+        let shared = SharedBest::with_floor(0);
+        shared.reserve(adj.len());
+        let before = thread_allocs();
+        search_subtree(&adj, &cand, &[], &shared, &mut st, &mut scratch, none);
+        let allocs = thread_allocs() - before;
+        assert_eq!(shared.size(), omega);
+        assert!(
+            shared.broadcasts() > 0,
+            "improvements must have been published"
+        );
+        assert_eq!(
+            allocs, 0,
+            "MC subtree body allocated {allocs} times after warm-up"
+        );
+
+        // Steady state 2: a saturated incumbent (everything prunes) — the
+        // prune-heavy regime a worker spends most of its life in.
+        let before = thread_allocs();
+        search_subtree(&adj, &cand, &[], &shared, &mut st, &mut scratch, none);
+        let allocs = thread_allocs() - before;
+        assert_eq!(
+            allocs, 0,
+            "pruned MC subtree body allocated {allocs} times after warm-up"
+        );
+    }
+
+    #[test]
+    fn stop_hook_halts_every_subtree() {
+        // A stop hook that fires at the first claim halts the shared
+        // incumbent: no unit opens its subtree, the result is whatever the
+        // generation pass found (a genuine clique or nothing), and far
+        // fewer nodes are expanded than by the full search.
+        let m = pseudo_dense(90, 600, 3);
+        let mut full = McStats::default();
+        let omega = search_at(&m, 0, 2, Some(&mut full)).len();
+        let stop = || true;
+        let mut st = McStats::default();
+        let mut out = Vec::new();
+        let ctx = SolveCtx {
+            stats: Some(&mut st),
+            sched: Some(SchedCtx {
+                stop: Some(&stop),
+                ..on_pool(2)
+            }),
+            ..SolveCtx::default()
+        };
+        max_clique_search(
+            &m,
+            &Bitset::full(90),
+            0,
+            &mut McScratch::new(),
+            &mut out,
+            ctx,
+        );
+        assert!(out.len() <= omega && m.is_clique(&out));
+        assert!(st.split_tasks > 0);
+        assert!(st.nodes * 10 < full.nodes, "{} vs {}", st.nodes, full.nodes);
     }
 
     #[test]

@@ -1,29 +1,33 @@
-//! Intra-solve work-splitting substrate: the shared incumbent and the
-//! cooperative abort flag the parallel subgraph drivers coordinate on.
+//! Intra-solve parallelism: the per-call context every engine entry point
+//! takes, its binding to the machine-wide scheduler, and the shared
+//! incumbent / cooperative abort flag that split subtrees coordinate on.
 //!
 //! The paper's work-avoidance thesis extends across threads: a bound that
 //! is published the instant any worker improves it prunes *every* worker's
 //! subtree. Two primitives carry that idea into the dense engines:
 //!
-//! * [`SharedBest`] — the incumbent of one parallel MC solve. The size
+//! * `SharedBest` — the incumbent of one parallel MC solve. The size
 //!   lives in an `AtomicUsize` read with `Relaxed` loads on every node
 //!   expansion (the same discipline as the solver-global
 //!   `lazymc_core::Incumbent`); the witness clique sits behind a mutex
 //!   touched only on improvements. Every successful publication is
 //!   counted, surfaced as the `incumbent_broadcasts` statistic.
-//! * [`SearchAbort`] — the k-VC analogue. A decision search has no
+//! * `SearchAbort` — the k-VC analogue. A decision search has no
 //!   incumbent to tighten; instead the first worker to find a cover
 //!   triggers the flag and every other worker's subtree terminates at its
 //!   next node.
 //!
-//! Both are deliberately tiny: the split drivers in `mc`/`vc` own the task
-//! queues (a claim-by-index atomic over a pooled task arena — tasks are
-//! generated once per solve, so a lock-free deque would be ceremony), and
-//! the sequential kernels stay byte-identical via zero-sized link types
-//! that monomorphize the sharing away (`threads = 1` *is* today's code).
+//! The only parallel runtime is `lazymc_sched`: an engine call bound to a
+//! pool through [`SchedCtx`] turns its top branch levels into claimable
+//! scope units in a pooled task arena (tasks are generated once per call
+//! and re-split on demand, so a lock-free deque would be ceremony). The
+//! sequential kernels stay byte-identical via zero-sized link types that
+//! monomorphize the sharing away (width 1 *is* the sequential code).
 
+use crate::live::LiveNodes;
+use lazymc_sched::{SchedHandle, TaskMeta};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cooperative stop hook of a scheduler-run solve: polled once per
 /// claimed subtree task, `true` means "halt the whole solve" (deadline
@@ -31,10 +35,77 @@ use std::sync::Mutex;
 /// learns the driver's deadline type.
 pub type StopFn<'a> = &'a (dyn Fn() -> bool + Sync);
 
+/// Binding of one engine call to the machine-wide scheduler: the pool,
+/// the identity/urgency every subtree task of the call carries, the
+/// nominal width (helpers recruited = `width - 1`), and the stop hook.
+#[derive(Clone, Copy)]
+pub struct SchedCtx<'a> {
+    /// Handle onto the work-stealing pool that runs the subtree units.
+    pub handle: &'a SchedHandle,
+    /// Identity + urgency stamped on every unit this call submits.
+    pub meta: TaskMeta,
+    /// Nominal width; `<= 1` runs the sequential kernel.
+    pub width: usize,
+    /// Deadline / cancellation hook, polled once per claimed unit.
+    pub stop: Option<StopFn<'a>>,
+}
+
+/// The per-call context of the three engine entry points
+/// (`max_clique_search`, `max_clique_via_vc_search`,
+/// `vertex_cover_search`): where statistics accumulate, the live
+/// node-count sink, and the optional scheduler binding. The default is a
+/// plain sequential call with nothing observed.
+pub struct SolveCtx<'a, S> {
+    /// Statistics merged into (never reset) by the call.
+    pub stats: Option<&'a mut S>,
+    /// Live node-count sink shared by every worker of the call.
+    pub live: LiveNodes<'a>,
+    /// Scheduler binding; `None` (or width ≤ 1) is the sequential kernel.
+    pub sched: Option<SchedCtx<'a>>,
+}
+
+impl<S> Default for SolveCtx<'_, S> {
+    fn default() -> Self {
+        SolveCtx {
+            stats: None,
+            live: LiveNodes::NONE,
+            sched: None,
+        }
+    }
+}
+
+impl<'a, S> SolveCtx<'a, S> {
+    /// A sequential context accumulating into `stats`.
+    pub fn with_stats(stats: Option<&'a mut S>) -> Self {
+        SolveCtx {
+            stats,
+            ..SolveCtx::default()
+        }
+    }
+
+    /// The scheduler binding, if this call may split at all (width ≥ 2).
+    pub(crate) fn split(&self) -> Option<SchedCtx<'a>> {
+        self.sched.filter(|s| s.width > 1)
+    }
+}
+
+/// Locks ignoring poison. The solver's mutexes guard task arenas, stats
+/// aggregates and winner slots that stay consistent across an unwind, so
+/// one panicking scope unit must not cascade panics through every other
+/// unit of the job.
+pub(crate) fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`plock`]'s counterpart for consuming a mutex.
+pub(crate) fn pinto<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The shared incumbent of one parallel MC solve: best size (atomic, read
 /// per node by every worker) plus the witness clique (mutex, written only
 /// on improvements).
-pub struct SharedBest {
+pub(crate) struct SharedBest {
     size: AtomicUsize,
     clique: Mutex<Vec<u32>>,
     broadcasts: AtomicU64,
@@ -44,7 +115,7 @@ pub struct SharedBest {
 impl SharedBest {
     /// An incumbent floored at `lb`: only cliques strictly larger are
     /// accepted (the caller's incumbent already covers `lb`).
-    pub fn with_floor(lb: usize) -> Self {
+    pub(crate) fn with_floor(lb: usize) -> Self {
         SharedBest {
             size: AtomicUsize::new(lb),
             clique: Mutex::new(Vec::new()),
@@ -58,36 +129,36 @@ impl SharedBest {
     /// finishing its current task. The incumbent found so far remains
     /// valid (it only ever holds real cliques).
     #[inline]
-    pub fn halt(&self) {
+    pub(crate) fn halt(&self) {
         self.halt.store(true, Ordering::Relaxed);
     }
 
     /// Whether the solve was told to stop.
     #[inline]
-    pub fn halted(&self) -> bool {
+    pub(crate) fn halted(&self) -> bool {
         self.halt.load(Ordering::Relaxed)
     }
 
     /// Current best size (floor included). `Relaxed`: staleness only costs
     /// a little extra search, never correctness.
     #[inline]
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size.load(Ordering::Relaxed)
     }
 
     /// Pre-sizes the witness buffer so that publications of cliques up to
-    /// `cap` vertices never allocate — the split drivers call this with
+    /// `cap` vertices never allocate — the split driver calls this with
     /// the candidate-set size, keeping the whole worker steady state
     /// allocation-free.
-    pub fn reserve(&self, cap: usize) {
-        let mut guard = self.clique.lock().unwrap();
+    pub(crate) fn reserve(&self, cap: usize) {
+        let mut guard = plock(&self.clique);
         let len = guard.len();
         guard.reserve(cap.saturating_sub(len));
     }
 
     /// Offers a candidate; returns whether it became the new incumbent.
     /// CAS-up first, so losing threads never take the lock.
-    pub fn offer(&self, candidate: &[u32]) -> bool {
+    pub(crate) fn offer(&self, candidate: &[u32]) -> bool {
         let mut cur = self.size.load(Ordering::Relaxed);
         loop {
             if candidate.len() <= cur {
@@ -100,7 +171,7 @@ impl SharedBest {
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
-                    let mut guard = self.clique.lock().unwrap();
+                    let mut guard = plock(&self.clique);
                     // A larger offer may have raced past between the CAS
                     // and the lock; never shrink the witness.
                     if candidate.len() > guard.len() {
@@ -116,15 +187,15 @@ impl SharedBest {
     }
 
     /// How many improvements were published to the other workers.
-    pub fn broadcasts(&self) -> u64 {
+    pub(crate) fn broadcasts(&self) -> u64 {
         self.broadcasts.load(Ordering::Relaxed)
     }
 
     /// Copies the witness into `out` (cleared first); returns whether the
     /// incumbent ever rose above its floor.
-    pub fn clique_into(&self, out: &mut Vec<u32>) -> bool {
+    pub(crate) fn clique_into(&self, out: &mut Vec<u32>) -> bool {
         out.clear();
-        let guard = self.clique.lock().unwrap();
+        let guard = plock(&self.clique);
         if guard.is_empty() {
             return false;
         }
@@ -137,17 +208,12 @@ impl SharedBest {
 /// first worker to find a cover triggers it; everyone else's subtree
 /// terminates at the next node expansion.
 #[derive(Default)]
-pub struct SearchAbort(AtomicBool);
+pub(crate) struct SearchAbort(AtomicBool);
 
 impl SearchAbort {
-    /// An untriggered flag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Signals every cooperating worker to stop.
     #[inline]
-    pub fn trigger(&self) {
+    pub(crate) fn trigger(&self) {
         self.0.store(true, Ordering::Relaxed);
     }
 
@@ -155,7 +221,7 @@ impl SearchAbort {
     /// while this is `true` is *not* authoritative — another worker
     /// already succeeded.
     #[inline]
-    pub fn triggered(&self) -> bool {
+    pub(crate) fn triggered(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -209,11 +275,25 @@ mod tests {
 
     #[test]
     fn abort_flag_latches() {
-        let a = SearchAbort::new();
+        let a = SearchAbort::default();
         assert!(!a.triggered());
         a.trigger();
         assert!(a.triggered());
         a.trigger();
         assert!(a.triggered());
+    }
+
+    #[test]
+    fn poisoned_locks_stay_usable() {
+        // A unit that panics while holding a lock must not make every
+        // later lock of the same job panic too.
+        let m = Mutex::new(7u32);
+        let _ = std::panic::catch_unwind(|| {
+            let _g = m.lock();
+            panic!("unit panicked mid-lock");
+        });
+        assert!(m.is_poisoned());
+        *plock(&m) += 1;
+        assert_eq!(pinto(m), 8);
     }
 }

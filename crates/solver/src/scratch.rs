@@ -10,9 +10,10 @@
 //!
 //! The pool is a mutex around a stack of boxes. One lock round-trip per
 //! neighbourhood solve is noise next to the solve itself, and a stack (as
-//! opposed to per-thread storage) keeps warm arenas alive across the
-//! short-lived scoped threads the vendored rayon shim spawns per phase.
+//! opposed to per-thread storage) lets a warm arena serve whichever pool
+//! worker claims the next neighbourhood or subtree.
 
+use crate::par::plock;
 use std::sync::Mutex;
 
 /// Most idle objects a pool retains; beyond that, returned objects are
@@ -48,7 +49,7 @@ impl<T: Default> Pool<T> {
 
     /// Pops a warm object, or builds a cold one.
     pub fn take(&self) -> Box<T> {
-        self.stack.lock().unwrap().pop().unwrap_or_default()
+        plock(&self.stack).pop().unwrap_or_default()
     }
 
     /// Returns an object to the pool (dropped when the pool is full or
@@ -59,7 +60,7 @@ impl<T: Default> Pool<T> {
                 return;
             }
         }
-        let mut stack = self.stack.lock().unwrap();
+        let mut stack = plock(&self.stack);
         if stack.len() < POOL_CAP {
             stack.push(item);
         }
@@ -102,6 +103,7 @@ impl SolverScratch {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -21,10 +21,10 @@
 
 use crate::bitset::{BitMatrix, Bitset};
 use crate::live::LiveNodes;
-use crate::par::{SearchAbort, StopFn};
+use crate::par::{pinto, plock, SchedCtx, SearchAbort, SolveCtx, StopFn};
 use crate::scratch::Pool;
-use lazymc_sched::{SchedHandle, Scope, TaskMeta};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use lazymc_sched::Scope;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Search statistics for work accounting.
@@ -38,8 +38,8 @@ pub struct VcStats {
     /// Vertices removed (or forced into the cover) by the kernelization
     /// rules — Buss, degree-0/1 and the non-merging degree-2 case.
     pub reductions: u64,
-    /// Subtree tasks generated by the parallel work-splitting driver
-    /// (0 for a sequential solve).
+    /// Subtree tasks generated by the work-splitting driver (0 for a
+    /// sequential solve).
     pub split_tasks: u64,
     /// Tasks executed by a worker other than the thread that generated
     /// them.
@@ -128,132 +128,113 @@ impl VcSolveScratch {
     }
 }
 
-/// Scratch-arena decision: cover of size ≤ `k` for `adj` restricted to
-/// `alive`. On success the cover is written to `out` (cleared either way)
-/// and `true` is returned.
-pub fn vertex_cover_decision_scratch(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    vertex_cover_decision_scratch_live(adj, alive, k, stats, scratch, out, LiveNodes::NONE)
+/// Outcome of a decision. `found = false` with `stopped = true` is *not*
+/// authoritative — the solve was halted by its deadline or cancellation
+/// mid-search.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VcDecision {
+    pub found: bool,
+    pub stopped: bool,
 }
 
-/// [`vertex_cover_decision_scratch`] with a live node-count sink (see
-/// `max_clique_dense_scratch_live`). `LiveNodes::NONE` is exactly the
-/// plain kernel.
-pub fn vertex_cover_decision_scratch_live(
+/// The k-VC decision engine's one entry point: is there a cover of size
+/// ≤ `k` for `adj` restricted to `alive`? On success the cover is written
+/// to `out` (cleared either way).
+///
+/// Without a scheduler binding (or at width ≤ 1, or below the split
+/// cutoff) this is the deterministic sequential kernel on `scratch`,
+/// allocation-free once warm. Bound to a pool at width ≥ 2, the top
+/// `VC_SPLIT_LEVELS` branch levels become claimable scope units that
+/// any idle pool worker can execute under one `SearchAbort`: the first
+/// unit to find a cover trips it and every other subtree terminates at
+/// its next node. Units re-split deeper when the pool reports idle
+/// capacity, and the binding's stop hook (deadline / cancellation) trips
+/// the abort too. Tasks partition the solution space (the branching is
+/// exhaustive), so a unanimous `false` is as authoritative as the
+/// sequential solver's.
+pub fn vertex_cover_search(
     adj: &BitMatrix,
     alive: &Bitset,
     k: usize,
-    stats: Option<&mut VcStats>,
     scratch: &mut VcScratch,
     out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
+    ctx: SolveCtx<'_, VcStats>,
+) -> VcDecision {
     out.clear();
-    if scratch.depths.is_empty() {
-        scratch.depths.push(VcDepth::default());
-    }
-    scratch.depths[0].alive.copy_from(alive);
-    let mut solver = VcSolver {
-        adj,
-        stats: VcStats::default(),
-        scratch,
-        abort: NoAbort,
-        live,
+    let mut local = VcStats::default();
+    let decision = match ctx.split() {
+        Some(sched) if alive.len() >= VC_SPLIT_MIN_VERTICES => {
+            decide_on_pool(adj, alive, k, sched, &mut local, out, ctx.live)
+        }
+        _ => VcDecision {
+            found: run(adj, alive, k, NoAbort, scratch, &mut local, out, ctx.live),
+            stopped: false,
+        },
     };
-    let ok = solver.solve(0, k as i64, out);
-    let local = solver.stats;
-    if let Some(s) = stats {
-        s.nodes += local.nodes;
-        s.sampled += local.sampled;
-        s.reductions += local.reductions;
-    }
-    if !ok {
-        out.clear();
-    }
-    ok
-}
-
-/// [`vertex_cover_decision_scratch`] with a cooperative abort flag — the
-/// body of a parallel decision worker. A `false` return obtained while
-/// `abort` is triggered is **not** authoritative: another worker already
-/// found a cover and this subtree was abandoned mid-search. With a warm
-/// `scratch` this performs no heap allocation (the per-worker steady
-/// state the zero-alloc tests pin down).
-pub fn vertex_cover_decision_abortable(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    abort: &SearchAbort,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    vertex_cover_decision_abortable_live(adj, alive, k, abort, stats, scratch, out, LiveNodes::NONE)
-}
-
-/// [`vertex_cover_decision_abortable`] with a live node-count sink (see
-/// `max_clique_dense_scratch_live`).
-#[allow(clippy::too_many_arguments)]
-pub fn vertex_cover_decision_abortable_live(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    abort: &SearchAbort,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    out.clear();
-    if scratch.depths.is_empty() {
-        scratch.depths.push(VcDepth::default());
-    }
-    scratch.depths[0].alive.copy_from(alive);
-    let mut solver = VcSolver {
-        adj,
-        stats: VcStats::default(),
-        scratch,
-        abort: SharedAbort(abort),
-        live,
-    };
-    let ok = solver.solve(0, k as i64, out);
-    let local = solver.stats;
-    if let Some(s) = stats {
+    if let Some(s) = ctx.stats {
         s.merge(&local);
     }
+    if !decision.found {
+        out.clear();
+    }
+    decision
+}
+
+/// Runs the decision search over `alive` with budget `k` under `abort`,
+/// writing the cover into `out` (cleared on failure). With the
+/// [`SharedAbort`] link this is the body of a scope unit: a `false`
+/// obtained while the flag is triggered is **not** authoritative. With a
+/// warm `scratch` it performs no heap allocation.
+#[allow(clippy::too_many_arguments)]
+fn run<A: AbortLink>(
+    adj: &BitMatrix,
+    alive: &Bitset,
+    k: usize,
+    abort: A,
+    scratch: &mut VcScratch,
+    stats: &mut VcStats,
+    out: &mut Vec<u32>,
+    live: LiveNodes<'_>,
+) -> bool {
+    out.clear();
+    if scratch.depths.is_empty() {
+        scratch.depths.push(VcDepth::default());
+    }
+    scratch.depths[0].alive.copy_from(alive);
+    let mut solver = VcSolver {
+        adj,
+        stats: VcStats::default(),
+        scratch,
+        abort,
+        live,
+    };
+    let ok = solver.solve(0, k as i64, out);
+    stats.merge(&solver.stats);
     if !ok {
         out.clear();
     }
     ok
 }
 
-/// Decides whether `adj` (restricted to `alive`) has a vertex cover of size
-/// at most `k`; on success returns the cover. One-shot convenience over
-/// [`vertex_cover_decision_scratch`].
-pub fn vertex_cover_decision_within(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    stats: Option<&mut VcStats>,
-) -> Option<Vec<u32>> {
-    let mut scratch = VcScratch::default();
-    let mut cover = Vec::new();
-    vertex_cover_decision_scratch(adj, alive, k, stats, &mut scratch, &mut cover).then_some(cover)
-}
-
-/// Decides whether the whole graph has a vertex cover of size ≤ `k`.
+/// Decides whether the whole graph has a vertex cover of size ≤ `k`; on
+/// success returns the cover. One-shot sequential convenience over
+/// [`vertex_cover_search`].
 pub fn vertex_cover_decision(
     adj: &BitMatrix,
     k: usize,
     stats: Option<&mut VcStats>,
 ) -> Option<Vec<u32>> {
-    vertex_cover_decision_within(adj, &Bitset::full(adj.len()), k, stats)
+    let mut cover = Vec::new();
+    vertex_cover_search(
+        adj,
+        &Bitset::full(adj.len()),
+        k,
+        &mut VcScratch::default(),
+        &mut cover,
+        SolveCtx::with_stats(stats),
+    )
+    .found
+    .then_some(cover)
 }
 
 /// Exact minimum vertex cover via binary search over the decision problem,
@@ -270,14 +251,8 @@ pub fn min_vertex_cover(adj: &BitMatrix, stats: Option<&mut VcStats>) -> Vec<u32
     let mut cover = Vec::new();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if vertex_cover_decision_scratch(
-            adj,
-            &alive,
-            mid,
-            Some(&mut local),
-            &mut scratch,
-            &mut cover,
-        ) {
+        let ctx = SolveCtx::with_stats(Some(&mut local));
+        if vertex_cover_search(adj, &alive, mid, &mut scratch, &mut cover, ctx).found {
             hi = cover.len().min(mid);
             std::mem::swap(&mut best, &mut cover);
         } else {
@@ -285,54 +260,30 @@ pub fn min_vertex_cover(adj: &BitMatrix, stats: Option<&mut VcStats>) -> Vec<u32
         }
     }
     if let Some(out) = stats {
-        out.nodes += local.nodes;
-        out.reductions += local.reductions;
+        out.merge(&local);
     }
     best
 }
 
-/// Scratch-arena maximum clique of `adj` via minimum vertex cover of the
-/// complement. Writes the witness into `out` and returns whether a clique
-/// larger than `lb` exists. With a warm `scratch`, the entire pipeline —
-/// complement matrix included — performs no heap allocation.
-pub fn max_clique_via_vc_scratch(
+/// The clique-via-VC engine's one entry point: maximum clique of `adj`
+/// via minimum vertex cover of the complement. Writes the witness into
+/// `out` and returns whether a clique larger than `lb` exists.
+///
+/// Complement, initial decision at `k0 = n - lb - 1` (alone it discharges
+/// most neighbourhoods), then a binary-search refinement to the true
+/// minimum. The search over `k` is sequential — each step depends on the
+/// last — but every decision inside it goes through
+/// [`vertex_cover_search`] with the caller's context, so a scheduler
+/// binding fans each one out as scope units. A stopped decision ends the
+/// refinement early: the result is then the best witness found so far
+/// (the caller marks the solve truncated). With a warm `scratch` and no
+/// binding the entire pipeline performs no heap allocation.
+pub fn max_clique_via_vc_search(
     adj: &BitMatrix,
     lb: usize,
-    stats: Option<&mut VcStats>,
     scratch: &mut VcSolveScratch,
     out: &mut Vec<u32>,
-) -> bool {
-    max_clique_via_vc_driver(adj, lb, 1, stats, scratch, out, LiveNodes::NONE)
-}
-
-/// [`max_clique_via_vc_scratch`] with a live node-count sink (see
-/// `max_clique_dense_scratch_live`).
-pub fn max_clique_via_vc_scratch_live(
-    adj: &BitMatrix,
-    lb: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    max_clique_via_vc_driver(adj, lb, 1, stats, scratch, out, live)
-}
-
-/// The one clique-via-VC pipeline behind both the sequential and the
-/// parallel entry points: complement, initial decision at
-/// `k0 = n - lb - 1`, then a binary-search refinement to the true
-/// minimum. Only the *decision* calls differ by thread budget —
-/// `threads <= 1` runs the deterministic scratch kernel on the caller's
-/// arena, above that each decision fans out through
-/// [`vertex_cover_decision_par`].
-fn max_clique_via_vc_driver(
-    adj: &BitMatrix,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
+    ctx: SolveCtx<'_, VcStats>,
 ) -> bool {
     out.clear();
     let n = adj.len();
@@ -341,6 +292,7 @@ fn max_clique_via_vc_driver(
     }
     adj.complement_into(&mut scratch.comp);
     scratch.full.reset_full(n);
+    let SolveCtx { stats, live, sched } = ctx;
     let mut local = VcStats::default();
     let VcSolveScratch {
         comp,
@@ -352,16 +304,18 @@ fn max_clique_via_vc_driver(
         row,
         in_cover,
     } = scratch;
-    let mut decide = |k: usize, local: &mut VcStats, cover: &mut Vec<u32>| -> bool {
-        if threads > 1 {
-            vertex_cover_decision_par_live(comp, full, k, threads, Some(local), cover, live)
-        } else {
-            vertex_cover_decision_scratch_live(comp, full, k, Some(local), search, cover, live)
-        }
+    let mut decide = |k: usize, local: &mut VcStats, cover: &mut Vec<u32>| {
+        let ctx = SolveCtx {
+            stats: Some(local),
+            live,
+            sched,
+        };
+        vertex_cover_search(comp, full, k, search, cover, ctx)
     };
     // ω > lb ⟺ minVC(complement) <= n - lb - 1.
     let k0 = n - lb - 1;
-    if !decide(k0, &mut local, cover) {
+    let first = decide(k0, &mut local, cover);
+    if !first.found {
         if let Some(s) = stats {
             s.merge(&local);
         }
@@ -369,11 +323,14 @@ fn max_clique_via_vc_driver(
     }
     std::mem::swap(best_cover, cover);
     // Refine: binary search down to the true minimum to maximize the clique.
+    let mut halted = first.stopped;
     let mut lo = matching_lower_bound_scratch(comp, full, avail, row);
     let mut hi = best_cover.len();
-    while lo < hi {
+    while lo < hi && !halted {
         let mid = lo + (hi - lo) / 2;
-        if decide(mid, &mut local, cover) {
+        let d = decide(mid, &mut local, cover);
+        halted = d.stopped;
+        if d.found {
             hi = cover.len().min(mid);
             std::mem::swap(best_cover, cover);
         } else {
@@ -399,7 +356,7 @@ fn max_clique_via_vc_driver(
 /// `ω <= lb`. This is the paper's per-neighbourhood algorithmic choice: the
 /// initial decision call alone discharges most neighbourhoods; only when a
 /// better clique exists does the binary search refine to the exact optimum.
-/// One-shot convenience over [`max_clique_via_vc_scratch`].
+/// One-shot sequential convenience over [`max_clique_via_vc_search`].
 pub fn max_clique_via_vc(
     adj: &BitMatrix,
     lb: usize,
@@ -407,20 +364,26 @@ pub fn max_clique_via_vc(
 ) -> Option<Vec<u32>> {
     let mut scratch = VcSolveScratch::default();
     let mut out = Vec::new();
-    max_clique_via_vc_scratch(adj, lb, stats, &mut scratch, &mut out).then_some(out)
+    max_clique_via_vc_search(adj, lb, &mut scratch, &mut out, SolveCtx::with_stats(stats))
+        .then_some(out)
 }
 
 // ---------------------------------------------------------------------------
-// Parallel work-splitting driver
+// Work splitting on the scheduler
 // ---------------------------------------------------------------------------
 
-/// Below this many alive vertices a parallel decision is not worth
-/// splitting: the subtree tasks would be cheaper than the thread spawns.
+/// Below this many alive vertices a decision is not worth splitting: the
+/// subtree units would be cheaper than the scheduling round-trips.
 const VC_SPLIT_MIN_VERTICES: usize = 32;
 
 /// How many branch levels task generation descends before parking the
 /// residual subproblem as a task ("split the top one/two levels").
 const VC_SPLIT_LEVELS: usize = 2;
+
+/// Most tasks one decision may fan out to; re-splits stop past this (the
+/// subtree runs inline instead), bounding arena memory under pathological
+/// re-split cascades.
+const VC_SCHED_MAX_TASKS: usize = 4096;
 
 /// One parked subtree of a decision search: the residual alive set, the
 /// remaining budget, and the cover vertices already committed on the path
@@ -453,9 +416,52 @@ impl VcSplitScratch {
                 .map(|t| t.alive.heap_bytes() + t.picks.capacity() * 4)
                 .sum::<usize>()
     }
+
+    /// One generation pass: expands `alive` (budget `k`, with `picks`
+    /// already committed) [`VC_SPLIT_LEVELS`] levels deep, parking each
+    /// residual subtree in `tasks[*live..]` and advancing `*live`. Returns
+    /// `true` when a full cover turned up during generation — written to
+    /// `out`, committed picks included.
+    #[allow(clippy::too_many_arguments)]
+    fn expand(
+        &mut self,
+        adj: &BitMatrix,
+        alive: &Bitset,
+        k: i64,
+        picks: &[u32],
+        tasks: &mut Vec<VcTask>,
+        live: &mut usize,
+        out: &mut Vec<u32>,
+        sink: LiveNodes<'_>,
+        stats: &mut VcStats,
+    ) -> bool {
+        while self.levels.len() < VC_SPLIT_LEVELS + 1 {
+            self.levels.push(Bitset::default());
+        }
+        self.picks.clear();
+        self.picks.extend_from_slice(picks);
+        self.levels[0].copy_from(alive);
+        let mut solver = VcSolver {
+            adj,
+            stats: VcStats::default(),
+            scratch: &mut self.gen,
+            abort: NoAbort,
+            live: sink,
+        };
+        let mut gen = VcGen {
+            tasks,
+            live: *live,
+            out,
+        };
+        let solved = gen_vc_tasks(&mut solver, &mut self.levels, k, &mut self.picks, &mut gen);
+        stats.merge(&solver.stats);
+        stats.split_tasks += (gen.live - *live) as u64;
+        *live = gen.live;
+        solved
+    }
 }
 
-/// Everything one decision worker needs: a search arena plus a cover
+/// Everything one decision unit needs: a search arena plus a cover
 /// buffer for the subproblem's result.
 #[derive(Default)]
 struct VcWorkerScratch {
@@ -575,169 +581,6 @@ fn gen_vc_tasks(
     false
 }
 
-/// Parallel decision: cover of size ≤ `k` for `adj` restricted to
-/// `alive`. The top [`VC_SPLIT_LEVELS`] branch levels are expanded into
-/// independent subtree tasks executed by `threads` scoped workers; the
-/// first worker to find a cover triggers a [`SearchAbort`] that every
-/// other worker polls per node, so the whole crew stops the instant the
-/// decision is settled. Tasks partition the solution space (the branching
-/// is exhaustive), so a unanimous `false` is as authoritative as the
-/// sequential solver's.
-///
-/// Falls back to the (deterministic) sequential kernel when `threads <= 1`
-/// or the alive set is too small to be worth splitting.
-pub fn vertex_cover_decision_par(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    out: &mut Vec<u32>,
-) -> bool {
-    vertex_cover_decision_par_live(adj, alive, k, threads, stats, out, LiveNodes::NONE)
-}
-
-/// [`vertex_cover_decision_par`] with a live node-count sink shared by
-/// every worker (see `max_clique_dense_scratch_live`).
-pub fn vertex_cover_decision_par_live(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    out: &mut Vec<u32>,
-    sink: LiveNodes<'_>,
-) -> bool {
-    out.clear();
-    if threads <= 1 || alive.len() < VC_SPLIT_MIN_VERTICES {
-        return VC_WORKER.with(|w| {
-            vertex_cover_decision_scratch_live(adj, alive, k, stats, &mut w.search, out, sink)
-        });
-    }
-    let mut local = VcStats::default();
-    let found = VC_SPLIT.with(|split| {
-        while split.levels.len() < VC_SPLIT_LEVELS + 1 {
-            split.levels.push(Bitset::default());
-        }
-        let (solved, live) = {
-            let VcSplitScratch {
-                gen,
-                levels,
-                picks,
-                tasks,
-            } = &mut *split;
-            picks.clear();
-            levels[0].copy_from(alive);
-            let mut solver = VcSolver {
-                adj,
-                stats: VcStats::default(),
-                scratch: gen,
-                abort: NoAbort,
-                live: sink,
-            };
-            let mut sink = VcGen {
-                tasks,
-                live: 0,
-                out,
-            };
-            let solved = gen_vc_tasks(&mut solver, levels, k as i64, picks, &mut sink);
-            local.merge(&solver.stats);
-            local.split_tasks += sink.live as u64;
-            (solved, sink.live)
-        };
-        if solved {
-            return true;
-        }
-        if live == 0 {
-            return false; // every branch died in generation: exhaustive no
-        }
-        let tasks = &split.tasks[..live];
-        let abort = SearchAbort::new();
-        let next = AtomicUsize::new(0);
-        let winner: Mutex<Option<Vec<u32>>> = Mutex::new(None);
-        let crew = threads.min(live);
-        std::thread::scope(|s| {
-            let (abort, next, winner) = (&abort, &next, &winner);
-            let handles: Vec<_> = (1..crew)
-                .map(|_| s.spawn(move || vc_worker(adj, tasks, next, abort, winner, false, sink)))
-                .collect();
-            local.merge(&vc_worker(adj, tasks, next, abort, winner, true, sink));
-            for h in handles {
-                local.merge(&h.join().expect("vc worker panicked"));
-            }
-        });
-        match winner.into_inner().unwrap() {
-            Some(cover) => {
-                out.clear();
-                out.extend_from_slice(&cover);
-                true
-            }
-            None => false,
-        }
-    });
-    if let Some(s) = stats {
-        s.merge(&local);
-    }
-    if !found {
-        out.clear();
-    }
-    found
-}
-
-/// One worker of a parallel decision: claims tasks off the shared queue
-/// until it drains or another worker settles the decision.
-fn vc_worker(
-    adj: &BitMatrix,
-    tasks: &[VcTask],
-    next: &AtomicUsize,
-    abort: &SearchAbort,
-    winner: &Mutex<Option<Vec<u32>>>,
-    is_generator: bool,
-    live: LiveNodes<'_>,
-) -> VcStats {
-    let mut stats = VcStats::default();
-    let mut w = VC_WORKER.take();
-    loop {
-        if abort.triggered() {
-            break;
-        }
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(t) = tasks.get(i) else { break };
-        if !is_generator {
-            stats.steals += 1;
-        }
-        let ok = vertex_cover_decision_abortable_live(
-            adj,
-            &t.alive,
-            t.k as usize,
-            abort,
-            Some(&mut stats),
-            &mut w.search,
-            &mut w.cover,
-            live,
-        );
-        if ok {
-            let mut g = winner.lock().unwrap();
-            if g.is_none() {
-                let mut full = Vec::with_capacity(t.picks.len() + w.cover.len());
-                full.extend_from_slice(&t.picks);
-                full.extend_from_slice(&w.cover);
-                *g = Some(full);
-                stats.incumbent_broadcasts += 1;
-            }
-            drop(g);
-            abort.trigger();
-            break;
-        }
-    }
-    VC_WORKER.put(w);
-    stats
-}
-
-// ---------------------------------------------------------------------------
-// Machine-wide scheduler driver
-// ---------------------------------------------------------------------------
-
 /// Task arena of one scheduler-run decision: scope unit `i` owns slot
 /// `i`; re-splits append under the lock and publish the new indices.
 struct VcArena {
@@ -745,151 +588,60 @@ struct VcArena {
     live: usize,
 }
 
-/// Most tasks one decision may fan out to; re-splits stop past this (the
-/// subtree runs inline instead), bounding arena memory under pathological
-/// re-split cascades.
-const VC_SCHED_MAX_TASKS: usize = 4096;
-
-/// Outcome of a scheduler-run decision. `found = false` with
-/// `stopped = true` is *not* authoritative — the solve was halted by its
-/// deadline or cancellation mid-search.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VcSchedDecision {
-    pub found: bool,
-    pub stopped: bool,
-}
-
-/// [`vertex_cover_decision_sched_live`] without a live sink.
-#[allow(clippy::too_many_arguments)]
-pub fn vertex_cover_decision_sched(
+/// The split path of [`vertex_cover_search`]: generates the subtree
+/// tasks, runs them as one scope on the bound pool (the calling thread
+/// claims units too), and collects the first cover found into `out`.
+fn decide_on_pool(
     adj: &BitMatrix,
     alive: &Bitset,
     k: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
-    stats: Option<&mut VcStats>,
-    out: &mut Vec<u32>,
-) -> VcSchedDecision {
-    vertex_cover_decision_sched_live(
-        adj,
-        alive,
-        k,
-        sched,
-        meta,
-        width,
-        should_stop,
-        stats,
-        out,
-        LiveNodes::NONE,
-    )
-}
-
-/// Decision (`cover of size ≤ k`?) on the machine-wide scheduler: the top
-/// [`VC_SPLIT_LEVELS`] branch levels become claimable scope units that
-/// any idle pool worker can execute under this job's [`SearchAbort`].
-/// Units re-split deeper when the pool reports idle capacity, and
-/// `should_stop` (deadline / cancellation) trips the abort so every
-/// stolen subtree terminates at its next node.
-///
-/// `width <= 1` runs the bit-identical sequential kernel.
-#[allow(clippy::too_many_arguments)]
-pub fn vertex_cover_decision_sched_live(
-    adj: &BitMatrix,
-    alive: &Bitset,
-    k: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
-    stats: Option<&mut VcStats>,
+    sched: SchedCtx<'_>,
+    local: &mut VcStats,
     out: &mut Vec<u32>,
     sink: LiveNodes<'_>,
-) -> VcSchedDecision {
-    out.clear();
-    if width <= 1 || alive.len() < VC_SPLIT_MIN_VERTICES {
-        let found = VC_WORKER.with(|w| {
-            vertex_cover_decision_scratch_live(adj, alive, k, stats, &mut w.search, out, sink)
-        });
-        return VcSchedDecision {
-            found,
-            stopped: false,
-        };
-    }
-    let mut local = VcStats::default();
+) -> VcDecision {
     let mut split = VC_SPLIT.take();
-    while split.levels.len() < VC_SPLIT_LEVELS + 1 {
-        split.levels.push(Bitset::default());
-    }
-    let (solved, live) = {
-        let VcSplitScratch {
-            gen,
-            levels,
-            picks,
-            tasks,
-        } = &mut *split;
-        picks.clear();
-        levels[0].copy_from(alive);
-        let mut solver = VcSolver {
-            adj,
-            stats: VcStats::default(),
-            scratch: gen,
-            abort: NoAbort,
-            live: sink,
-        };
-        let mut tsink = VcGen {
-            tasks,
-            live: 0,
-            out,
-        };
-        let solved = gen_vc_tasks(&mut solver, levels, k as i64, picks, &mut tsink);
-        local.merge(&solver.stats);
-        local.split_tasks += tsink.live as u64;
-        (solved, tsink.live)
+    let mut tasks = std::mem::take(&mut split.tasks);
+    let mut live = 0usize;
+    let solved = split.expand(
+        adj,
+        alive,
+        k as i64,
+        &[],
+        &mut tasks,
+        &mut live,
+        out,
+        sink,
+        local,
+    );
+    let mut decision = VcDecision {
+        found: solved,
+        stopped: false,
     };
-    let mut decision = VcSchedDecision::default();
-    if solved {
-        decision.found = true;
-    } else if live > 0 {
-        let abort = SearchAbort::new();
+    if !solved && live > 0 {
+        let abort = SearchAbort::default();
         let stopped = AtomicBool::new(false);
         let winner: Mutex<Option<Vec<u32>>> = Mutex::new(None);
-        let arena = Mutex::new(VcArena {
-            tasks: std::mem::take(&mut split.tasks),
-            live,
-        });
+        let arena = Mutex::new(VcArena { tasks, live });
         let agg = Mutex::new(VcStats::default());
-        sched.scope(meta, width - 1, live, &|sc, i| {
-            vc_sched_unit(
-                adj,
-                &arena,
-                i,
-                &abort,
-                &stopped,
-                &winner,
-                should_stop,
-                &agg,
-                sc,
-                sink,
-            );
-        });
-        local.merge(&agg.into_inner().unwrap());
-        split.tasks = arena.into_inner().unwrap().tasks;
+        sched
+            .handle
+            .scope(sched.meta, sched.width - 1, live, &|sc, i| {
+                vc_sched_unit(
+                    adj, &arena, i, &abort, &stopped, &winner, sched.stop, &agg, sc, sink,
+                );
+            });
+        local.merge(&pinto(agg));
+        tasks = pinto(arena).tasks;
         decision.stopped = stopped.load(Ordering::Relaxed);
-        if let Some(cover) = winner.into_inner().unwrap() {
+        if let Some(cover) = pinto(winner) {
             out.clear();
             out.extend_from_slice(&cover);
             decision.found = true;
         }
     }
+    split.tasks = tasks;
     VC_SPLIT.put(split);
-    if let Some(s) = stats {
-        s.merge(&local);
-    }
-    if !decision.found {
-        out.clear();
-    }
     decision
 }
 
@@ -920,34 +672,36 @@ fn vc_sched_unit(
         }
     }
     if !abort.triggered() {
-        let t = {
-            let mut g = arena.lock().unwrap();
-            std::mem::take(&mut g.tasks[i])
+        let (t, room) = {
+            let mut g = plock(arena);
+            let room = g.live < VC_SCHED_MAX_TASKS;
+            (std::mem::take(&mut g.tasks[i]), room)
         };
-        let room = arena.lock().unwrap().live < VC_SCHED_MAX_TASKS;
         if t.alive.len() >= VC_SPLIT_MIN_VERTICES && room && sc.idle_workers() > 0 {
             resplit_vc_task(adj, arena, &t, abort, winner, sc, &mut stats, sink);
         } else {
             let mut w = VC_WORKER.take();
-            let ok = vertex_cover_decision_abortable_live(
+            let VcWorkerScratch { search, cover } = &mut *w;
+            let k = t.k as usize;
+            if run(
                 adj,
                 &t.alive,
-                t.k as usize,
-                abort,
-                Some(&mut stats),
-                &mut w.search,
-                &mut w.cover,
+                k,
+                SharedAbort(abort),
+                search,
+                &mut stats,
+                cover,
                 sink,
-            );
-            if ok {
-                publish_vc_winner(winner, &t.picks, &w.cover, abort, &mut stats);
+            ) {
+                publish_vc_winner(winner, &t.picks, cover, abort, &mut stats);
             }
             VC_WORKER.put(w);
         }
         // Return the slot (and its warm buffers) for later solves.
-        arena.lock().unwrap().tasks[i] = t;
+        plock(arena).tasks[i] = t;
     }
-    agg.lock().unwrap().merge(&stats);
+    sink.flush(stats.nodes, &mut stats.sampled);
+    plock(agg).merge(&stats);
 }
 
 /// First cover wins: records `picks + cover` and trips the abort so the
@@ -959,7 +713,7 @@ fn publish_vc_winner(
     abort: &SearchAbort,
     stats: &mut VcStats,
 ) {
-    let mut g = winner.lock().unwrap();
+    let mut g = plock(winner);
     if g.is_none() {
         let mut full = Vec::with_capacity(picks.len() + cover.len());
         full.extend_from_slice(picks);
@@ -988,168 +742,31 @@ fn resplit_vc_task(
 ) {
     let mut split = VC_SPLIT.take();
     let mut w = VC_WORKER.take();
-    while split.levels.len() < VC_SPLIT_LEVELS + 1 {
-        split.levels.push(Bitset::default());
-    }
     let (solved, fresh) = {
-        let VcSplitScratch {
-            gen,
-            levels,
-            picks,
-            tasks: _,
-        } = &mut *split;
-        picks.clear();
-        picks.extend_from_slice(&t.picks);
-        levels[0].copy_from(&t.alive);
-        let mut solver = VcSolver {
+        let mut g = plock(arena);
+        let VcArena { tasks, live } = &mut *g;
+        let live0 = *live;
+        let solved = split.expand(
             adj,
-            stats: VcStats::default(),
-            scratch: gen,
-            abort: NoAbort,
-            live: sink,
-        };
-        let mut g = arena.lock().unwrap();
-        let a = &mut *g;
-        let live0 = a.live;
-        let mut tsink = VcGen {
-            tasks: &mut a.tasks,
-            live: live0,
-            out: &mut w.cover,
-        };
-        let solved = gen_vc_tasks(&mut solver, levels, t.k, picks, &mut tsink);
-        let live1 = tsink.live;
-        a.live = live1;
-        stats.merge(&solver.stats);
-        (solved, live1 - live0)
+            &t.alive,
+            t.k,
+            &t.picks,
+            tasks,
+            live,
+            &mut w.cover,
+            sink,
+            stats,
+        );
+        (solved, *live - live0)
     };
-    stats.split_tasks += fresh as u64;
     if solved {
-        // `w.cover` already contains the full pick path (seeded above).
+        // `w.cover` already contains the full pick path.
         publish_vc_winner(winner, &[], &w.cover, abort, stats);
     } else {
         sc.publish(fresh);
     }
     VC_WORKER.put(w);
     VC_SPLIT.put(split);
-}
-
-/// Maximum clique via minimum vertex cover of the complement on the
-/// machine-wide scheduler: the same binary-search driver as
-/// [`max_clique_via_vc_par`], with every decision fanned out as scope
-/// units. A deadline/cancellation stop ends the refinement early — the
-/// result is then the best witness found so far (the caller marks the
-/// solve truncated).
-#[allow(clippy::too_many_arguments)]
-pub fn max_clique_via_vc_sched_live(
-    adj: &BitMatrix,
-    lb: usize,
-    sched: &SchedHandle,
-    meta: TaskMeta,
-    width: usize,
-    should_stop: Option<StopFn<'_>>,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    out.clear();
-    let n = adj.len();
-    if n == 0 || n <= lb {
-        return false;
-    }
-    adj.complement_into(&mut scratch.comp);
-    scratch.full.reset_full(n);
-    let mut local = VcStats::default();
-    let VcSolveScratch {
-        comp,
-        search: _,
-        cover,
-        best_cover,
-        full,
-        avail,
-        row,
-        in_cover,
-    } = scratch;
-    let mut halted = false;
-    let decide = |k: usize, local: &mut VcStats, cover: &mut Vec<u32>, halted: &mut bool| -> bool {
-        let d = vertex_cover_decision_sched_live(
-            comp,
-            full,
-            k,
-            sched,
-            meta,
-            width,
-            should_stop,
-            Some(local),
-            cover,
-            live,
-        );
-        if d.stopped {
-            *halted = true;
-        }
-        d.found
-    };
-    // ω > lb ⟺ minVC(complement) <= n - lb - 1.
-    let k0 = n - lb - 1;
-    if !decide(k0, &mut local, cover, &mut halted) {
-        if let Some(s) = stats {
-            s.merge(&local);
-        }
-        return false;
-    }
-    std::mem::swap(best_cover, cover);
-    let mut lo = matching_lower_bound_scratch(comp, full, avail, row);
-    let mut hi = best_cover.len();
-    while lo < hi && !halted {
-        let mid = lo + (hi - lo) / 2;
-        if decide(mid, &mut local, cover, &mut halted) {
-            hi = cover.len().min(mid);
-            std::mem::swap(best_cover, cover);
-        } else {
-            lo = mid + 1;
-        }
-    }
-    if let Some(s) = stats {
-        s.merge(&local);
-    }
-    in_cover.clear();
-    in_cover.resize(n, false);
-    for &v in best_cover.iter() {
-        in_cover[v as usize] = true;
-    }
-    out.extend((0..n as u32).filter(|&v| !in_cover[v as usize]));
-    debug_assert!(adj.is_clique(out));
-    true
-}
-
-/// Parallel maximum clique via minimum vertex cover of the complement:
-/// the binary search over `k` is sequential (each step depends on the
-/// last), but every decision inside it fans out through
-/// [`vertex_cover_decision_par`]. `threads <= 1` *is* the sequential
-/// pipeline (same driver, scratch decision kernel).
-pub fn max_clique_via_vc_par(
-    adj: &BitMatrix,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-) -> bool {
-    max_clique_via_vc_driver(adj, lb, threads, stats, scratch, out, LiveNodes::NONE)
-}
-
-/// [`max_clique_via_vc_par`] with a live node-count sink shared by every
-/// decision worker (see `max_clique_dense_scratch_live`).
-pub fn max_clique_via_vc_par_live(
-    adj: &BitMatrix,
-    lb: usize,
-    threads: usize,
-    stats: Option<&mut VcStats>,
-    scratch: &mut VcSolveScratch,
-    out: &mut Vec<u32>,
-    live: LiveNodes<'_>,
-) -> bool {
-    max_clique_via_vc_driver(adj, lb, threads, stats, scratch, out, live)
 }
 
 /// Lower bound: size of a greedily-built maximal matching (every cover must
@@ -1204,8 +821,8 @@ pub fn greedy_cover(adj: &BitMatrix, alive: &Bitset) -> Vec<u32> {
 
 /// How a decision search observes the cooperative abort flag. The
 /// sequential kernel uses [`NoAbort`], a zero-sized no-op that the
-/// optimizer removes — `threads = 1` runs byte-for-byte today's search
-/// with deterministic node counts. Parallel workers use [`SharedAbort`],
+/// optimizer removes — width 1 runs byte-for-byte the sequential search
+/// with deterministic node counts. Scope units use [`SharedAbort`],
 /// which polls the flag once per node (one relaxed load).
 trait AbortLink {
     fn aborted(&self) -> bool;
@@ -1559,6 +1176,7 @@ pub fn is_vertex_cover(adj: &BitMatrix, alive: &Bitset, cover: &[u32]) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -1692,7 +1310,24 @@ mod tests {
         assert!(st.reductions > 0);
     }
 
-    use crate::test_util::pseudo_graph;
+    use crate::test_util::{on_pool, pseudo_graph, thread_allocs};
+
+    /// [`vertex_cover_search`] on the test pool at `width`.
+    fn decide_at(
+        m: &BitMatrix,
+        alive: &Bitset,
+        k: usize,
+        width: usize,
+        stats: Option<&mut VcStats>,
+        out: &mut Vec<u32>,
+    ) -> VcDecision {
+        let ctx = SolveCtx {
+            stats,
+            sched: Some(on_pool(width)),
+            ..SolveCtx::default()
+        };
+        vertex_cover_search(m, alive, k, &mut VcScratch::new(), out, ctx)
+    }
 
     #[test]
     fn parallel_decision_matches_sequential() {
@@ -1700,27 +1335,19 @@ mod tests {
             let m = pseudo_graph(n, p, seed);
             let alive = Bitset::full(n);
             let mvc = min_vertex_cover(&m, None).len();
-            for threads in [2, 4, 8] {
+            for width in [2, 4, 8] {
                 let mut out = Vec::new();
                 // Exactly at the optimum: must succeed with a valid cover.
                 let mut st = VcStats::default();
-                assert!(
-                    vertex_cover_decision_par(&m, &alive, mvc, threads, Some(&mut st), &mut out),
-                    "n={n} threads={threads} k={mvc}"
-                );
+                let d = decide_at(&m, &alive, mvc, width, Some(&mut st), &mut out);
+                assert!(d.found, "n={n} width={width} k={mvc}");
                 assert!(out.len() <= mvc);
                 assert!(is_vertex_cover(&m, &alive, &out));
                 assert!(st.nodes > 0);
                 // One below: must fail, unanimously.
                 if mvc > 0 {
-                    assert!(!vertex_cover_decision_par(
-                        &m,
-                        &alive,
-                        mvc - 1,
-                        threads,
-                        None,
-                        &mut out
-                    ));
+                    let d = decide_at(&m, &alive, mvc - 1, width, None, &mut out);
+                    assert!(!d.found && !d.stopped);
                     assert!(out.is_empty());
                 }
             }
@@ -1733,30 +1360,55 @@ mod tests {
         for (n, p, seed) in [(48, 780, 5), (64, 850, 23)] {
             let m = pseudo_graph(n, p, seed);
             let omega = max_clique_exact(&m).len();
-            for threads in [2, 4] {
+            for width in [2, 4] {
                 let mut scratch = VcSolveScratch::new();
                 let mut out = Vec::new();
                 let mut st = VcStats::default();
-                assert!(max_clique_via_vc_par(
-                    &m,
-                    0,
-                    threads,
-                    Some(&mut st),
-                    &mut scratch,
-                    &mut out
-                ));
-                assert_eq!(out.len(), omega, "n={n} threads={threads}");
+                let ctx = SolveCtx {
+                    stats: Some(&mut st),
+                    sched: Some(on_pool(width)),
+                    ..SolveCtx::default()
+                };
+                assert!(max_clique_via_vc_search(&m, 0, &mut scratch, &mut out, ctx));
+                assert_eq!(out.len(), omega, "n={n} width={width}");
                 assert!(m.is_clique(&out));
                 // lb suppression must agree too.
-                assert!(!max_clique_via_vc_par(
+                let ctx = SolveCtx {
+                    sched: Some(on_pool(width)),
+                    ..SolveCtx::default()
+                };
+                assert!(!max_clique_via_vc_search(
                     &m,
                     omega,
-                    threads,
-                    None,
                     &mut scratch,
-                    &mut out
+                    &mut out,
+                    ctx
                 ));
             }
+        }
+    }
+
+    #[test]
+    fn stop_hook_makes_the_decision_non_authoritative() {
+        // A stop hook that fires at the first claim trips the abort: no
+        // unit opens its subtree and the `false` comes back flagged
+        // `stopped`, never as an authoritative no.
+        let m = pseudo_graph(64, 200, 17);
+        let alive = Bitset::full(64);
+        let mvc = min_vertex_cover(&m, None).len();
+        let stop = || true;
+        let mut out = Vec::new();
+        let ctx = SolveCtx {
+            sched: Some(SchedCtx {
+                stop: Some(&stop),
+                ..on_pool(2)
+            }),
+            ..SolveCtx::default()
+        };
+        let d = vertex_cover_search(&m, &alive, mvc, &mut VcScratch::new(), &mut out, ctx);
+        if !d.found {
+            assert!(d.stopped, "a halted decision must say so");
+            assert!(out.is_empty());
         }
     }
 
@@ -1764,24 +1416,66 @@ mod tests {
     fn abortable_decision_stops_on_trigger() {
         let m = pseudo_graph(60, 250, 7);
         let alive = Bitset::full(60);
-        let abort = SearchAbort::new();
+        let abort = SearchAbort::default();
         abort.trigger();
         let mut scratch = VcScratch::new();
         let mut out = Vec::new();
         let mut st = VcStats::default();
         // Pre-triggered: the search unwinds immediately (nodes == 0) and
         // its `false` is non-authoritative by contract.
-        let ok = vertex_cover_decision_abortable(
+        let link = SharedAbort(&abort);
+        let ok = run(
             &m,
             &alive,
             60,
-            &abort,
-            Some(&mut st),
+            link,
             &mut scratch,
+            &mut st,
             &mut out,
+            LiveNodes::NONE,
         );
         assert!(!ok);
         assert_eq!(st.nodes, 0);
+    }
+
+    #[test]
+    fn abortable_body_is_allocation_free_after_warmup() {
+        // The body of every decision scope unit is `run` under the shared
+        // abort link; with a warm arena, polling the abort flag and the
+        // full kernelize/branch/path-cycle machinery must not allocate.
+        let adj = pseudo_graph(90, 250, 17);
+        let alive = Bitset::full(adj.len());
+        let mvc = min_vertex_cover(&adj, None).len();
+        let abort = SearchAbort::default();
+        let mut scratch = VcScratch::new();
+        let mut cover = Vec::new();
+        let mut st = VcStats::default();
+        let mut decide = |k: usize, scratch: &mut VcScratch, cover: &mut Vec<u32>| {
+            let link = SharedAbort(&abort);
+            run(
+                &adj,
+                &alive,
+                k,
+                link,
+                scratch,
+                &mut st,
+                cover,
+                LiveNodes::NONE,
+            )
+        };
+
+        // Warm-up at the optimum (success path) and one below (failure path).
+        assert!(decide(mvc, &mut scratch, &mut cover));
+        assert!(!decide(mvc - 1, &mut scratch, &mut cover));
+
+        let before = thread_allocs();
+        assert!(decide(mvc, &mut scratch, &mut cover));
+        assert!(!decide(mvc - 1, &mut scratch, &mut cover));
+        let allocs = thread_allocs() - before;
+        assert_eq!(
+            allocs, 0,
+            "k-VC decision body allocated {allocs} times after warm-up"
+        );
     }
 
     #[test]
@@ -1798,23 +1492,19 @@ mod tests {
         ];
         for m in &graphs {
             let expect = max_clique_via_vc(m, 0, None).unwrap();
-            assert!(max_clique_via_vc_scratch(
-                m,
-                0,
-                None,
-                &mut scratch,
-                &mut out
-            ));
+            let ctx = SolveCtx::default();
+            assert!(max_clique_via_vc_search(m, 0, &mut scratch, &mut out, ctx));
             assert_eq!(out.len(), expect.len(), "graph {m:?}");
             assert!(m.is_clique(&out));
         }
         // lb suppression
-        assert!(!max_clique_via_vc_scratch(
+        let ctx = SolveCtx::default();
+        assert!(!max_clique_via_vc_search(
             &graphs[2],
             3,
-            None,
             &mut scratch,
-            &mut out
+            &mut out,
+            ctx
         ));
         assert!(out.is_empty());
     }

@@ -9,9 +9,9 @@
 use lazymc_graph::gen;
 use lazymc_solver::bitset::{BitMatrix, Bitset};
 use lazymc_solver::{
-    greedy_color_count, max_clique_dense_scratch, max_clique_exact, max_clique_via_vc,
-    max_clique_via_vc_scratch, min_vertex_cover, vc::is_vertex_cover, vertex_cover_decision,
-    McScratch, VcSolveScratch,
+    greedy_color_count, max_clique_exact, max_clique_search, max_clique_via_vc,
+    max_clique_via_vc_search, min_vertex_cover, vc::is_vertex_cover, vertex_cover_decision,
+    McScratch, SolveCtx, VcSolveScratch,
 };
 use proptest::prelude::*;
 
@@ -61,11 +61,11 @@ proptest! {
         let mut vc_scratch = VcSolveScratch::new();
         let mut out = Vec::new();
 
-        prop_assert!(max_clique_dense_scratch(&m, &within, 0, None, &mut mc_scratch, &mut out));
+        prop_assert!(max_clique_search(&m, &within, 0, &mut mc_scratch, &mut out, SolveCtx::default()));
         prop_assert_eq!(out.len(), omega);
         prop_assert!(m.is_clique(&out));
 
-        prop_assert!(max_clique_via_vc_scratch(&m, 0, None, &mut vc_scratch, &mut out));
+        prop_assert!(max_clique_via_vc_search(&m, 0, &mut vc_scratch, &mut out, SolveCtx::default()));
         prop_assert_eq!(out.len(), omega);
         prop_assert!(m.is_clique(&out));
 
@@ -76,14 +76,14 @@ proptest! {
         };
         let omega2 = max_clique_exact(&m2).len();
         let within2 = Bitset::full(m2.len());
-        prop_assert!(max_clique_dense_scratch(&m2, &within2, 0, None, &mut mc_scratch, &mut out));
+        prop_assert!(max_clique_search(&m2, &within2, 0, &mut mc_scratch, &mut out, SolveCtx::default()));
         prop_assert_eq!(out.len(), omega2);
-        prop_assert!(max_clique_via_vc_scratch(&m2, 0, None, &mut vc_scratch, &mut out));
+        prop_assert!(max_clique_via_vc_search(&m2, 0, &mut vc_scratch, &mut out, SolveCtx::default()));
         prop_assert_eq!(out.len(), omega2);
 
         // lb handling: both scratch engines stay silent at lb = omega.
-        prop_assert!(!max_clique_dense_scratch(&m, &within, omega, None, &mut mc_scratch, &mut out));
-        prop_assert!(!max_clique_via_vc_scratch(&m, omega, None, &mut vc_scratch, &mut out));
+        prop_assert!(!max_clique_search(&m, &within, omega, &mut mc_scratch, &mut out, SolveCtx::default()));
+        prop_assert!(!max_clique_via_vc_search(&m, omega, &mut vc_scratch, &mut out, SolveCtx::default()));
     }
 
     #[test]

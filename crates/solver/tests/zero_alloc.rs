@@ -6,52 +6,24 @@
 //! run performed **zero** heap allocations — the contract the `McScratch` /
 //! `VcSolveScratch` arenas and the `ColorScratch` word loops exist to keep.
 //!
-//! Counters are thread-local so concurrently running tests cannot pollute
-//! each other's tallies.
+//! The scope-unit bodies behind the split path (the shared-incumbent MC
+//! subtree search and the abortable k-VC decision) are private to the
+//! solver crate; their steady state is pinned by the same assertion in
+//! the crate's own unit tests, which install the same allocator.
 
+use lazymc_sched::{SchedHandle, TaskMeta};
 use lazymc_solver::{
-    max_clique_dense_scratch, max_clique_dense_subtree, max_clique_via_vc_scratch,
-    min_vertex_cover, reduce_candidates, vertex_cover_decision_abortable, Bitset, ColorScratch,
-    McScratch, SearchAbort, SharedBest, VcScratch, VcSolveScratch,
+    max_clique_search, max_clique_via_vc_search, min_vertex_cover, reduce_candidates,
+    vertex_cover_search, Bitset, ColorScratch, McScratch, SchedCtx, SolveCtx, VcScratch,
+    VcSolveScratch,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 mod common;
 use common::pseudo_graph as dense_graph;
 
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct ThreadCountingAlloc;
-
-// SAFETY: delegates to `System`; bookkeeping is a const-initialized
-// thread-local `Cell` (no allocation on access), read via `try_with` so
-// accesses during TLS teardown degrade to "not counted" instead of
-// aborting.
-unsafe impl GlobalAlloc for ThreadCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: ThreadCountingAlloc = ThreadCountingAlloc;
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(|c| c.get())
-}
+#[path = "common/alloc.rs"]
+mod alloc;
+use alloc::thread_allocs;
 
 #[test]
 fn dense_mc_search_is_allocation_free_after_warmup() {
@@ -61,14 +33,15 @@ fn dense_mc_search_is_allocation_free_after_warmup() {
     let mut out = Vec::new();
 
     // Warm-up: grows every per-depth buffer to this instance's size.
-    let found_warm = max_clique_dense_scratch(&adj, &within, 0, None, &mut scratch, &mut out);
+    let ctx = SolveCtx::default;
+    let found_warm = max_clique_search(&adj, &within, 0, &mut scratch, &mut out, ctx());
     assert!(found_warm);
     let omega = out.len();
     assert!(omega >= 3, "graph must be non-trivial, got omega {omega}");
 
     // Steady state: the identical search must not touch the heap.
     let before = thread_allocs();
-    let found = max_clique_dense_scratch(&adj, &within, 0, None, &mut scratch, &mut out);
+    let found = max_clique_search(&adj, &within, 0, &mut scratch, &mut out, ctx());
     let allocs = thread_allocs() - before;
     assert!(found);
     assert_eq!(out.len(), omega);
@@ -107,22 +80,22 @@ fn clique_via_vc_pipeline_is_allocation_free_after_warmup() {
     let mut scratch = VcSolveScratch::new();
     let mut out = Vec::new();
 
-    assert!(max_clique_via_vc_scratch(
+    assert!(max_clique_via_vc_search(
         &adj,
         0,
-        None,
         &mut scratch,
-        &mut out
+        &mut out,
+        SolveCtx::default()
     ));
     let omega = out.len();
 
     let before = thread_allocs();
-    assert!(max_clique_via_vc_scratch(
+    assert!(max_clique_via_vc_search(
         &adj,
         0,
-        None,
         &mut scratch,
-        &mut out
+        &mut out,
+        SolveCtx::default()
     ));
     let allocs = thread_allocs() - before;
     assert_eq!(out.len(), omega);
@@ -133,196 +106,88 @@ fn clique_via_vc_pipeline_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn parallel_mc_worker_is_allocation_free_after_warmup() {
-    // The body of a parallel MC worker is `max_clique_dense_subtree`: a
-    // branch-prefix task run against a shared incumbent. After one warm-up
-    // run, a worker's steady state — node expansions, bound refreshes from
-    // the shared atomic, *and* incumbent publications (the witness buffer
-    // is pre-reserved, as the split driver does) — must not touch the
+fn sched_bound_width_one_is_allocation_free_after_warmup() {
+    // An engine call bound to the pool at width 1 never submits a unit:
+    // it falls through to the sequential kernel on the caller's arena, so
+    // a daemon solve at `threads = 1` keeps the zero-steady-state
+    // allocation contract. After one warm-up, none of it may touch the
     // heap.
-    let adj = dense_graph(120, 550, 42);
-    let cand = Bitset::full(adj.len());
-    let mut scratch = McScratch::new();
-
-    // Warm-up: grows the arena and establishes ω in a first incumbent.
-    let warm = SharedBest::with_floor(0);
-    warm.reserve(adj.len());
-    max_clique_dense_subtree(&adj, &cand, &[], &warm, None, &mut scratch);
-    let omega = warm.size();
-    assert!(omega >= 3, "graph must be non-trivial, got omega {omega}");
-
-    // Steady state 1: a fresh shared incumbent (pre-reserved) makes the
-    // worker re-find and re-publish every improvement — still zero allocs.
-    let shared = SharedBest::with_floor(0);
-    shared.reserve(adj.len());
-    let before = thread_allocs();
-    max_clique_dense_subtree(&adj, &cand, &[], &shared, None, &mut scratch);
-    let allocs = thread_allocs() - before;
-    assert_eq!(shared.size(), omega);
-    assert!(
-        shared.broadcasts() > 0,
-        "improvements must have been published"
-    );
-    assert_eq!(
-        allocs, 0,
-        "parallel MC worker allocated {allocs} times after warm-up"
-    );
-
-    // Steady state 2: a saturated incumbent (everything prunes) — the
-    // prune-heavy regime a worker spends most of its life in.
-    let before = thread_allocs();
-    max_clique_dense_subtree(&adj, &cand, &[], &shared, None, &mut scratch);
-    let allocs = thread_allocs() - before;
-    assert_eq!(
-        allocs, 0,
-        "pruned MC worker allocated {allocs} times after warm-up"
-    );
-}
-
-#[test]
-fn parallel_vc_worker_is_allocation_free_after_warmup() {
-    // The body of a parallel k-VC decision worker is
-    // `vertex_cover_decision_abortable`; with a warm arena, polling the
-    // abort flag and the full kernelize/branch/path-cycle machinery must
-    // not allocate.
-    let adj = dense_graph(90, 250, 17);
-    let alive = Bitset::full(adj.len());
-    let mvc = min_vertex_cover(&adj, None).len();
-    let abort = SearchAbort::new();
-    let mut scratch = VcScratch::new();
-    let mut cover = Vec::new();
-
-    // Warm-up at the optimum (success path) and one below (failure path).
-    assert!(vertex_cover_decision_abortable(
-        &adj,
-        &alive,
-        mvc,
-        &abort,
-        None,
-        &mut scratch,
-        &mut cover
-    ));
-    assert!(!vertex_cover_decision_abortable(
-        &adj,
-        &alive,
-        mvc - 1,
-        &abort,
-        None,
-        &mut scratch,
-        &mut cover
-    ));
-
-    let before = thread_allocs();
-    assert!(vertex_cover_decision_abortable(
-        &adj,
-        &alive,
-        mvc,
-        &abort,
-        None,
-        &mut scratch,
-        &mut cover
-    ));
-    assert!(!vertex_cover_decision_abortable(
-        &adj,
-        &alive,
-        mvc - 1,
-        &abort,
-        None,
-        &mut scratch,
-        &mut cover
-    ));
-    let allocs = thread_allocs() - before;
-    assert_eq!(
-        allocs, 0,
-        "parallel k-VC worker allocated {allocs} times after warm-up"
-    );
-}
-
-#[test]
-fn sched_task_body_is_allocation_free_after_warmup() {
-    // A scheduler unit body runs a subtree through the same thread-local
-    // worker arenas (`MC_WORKER` / `VC_WORKER`) that the width-1 driver
-    // path uses — so driving the sched entry points at width 1 on this
-    // thread exercises exactly the steady-state body: pooled task
-    // buffers, arena take/put-back, shared-incumbent reads. After one
-    // warm-up, none of it may touch the heap.
-    use lazymc_sched::TaskMeta;
-    use lazymc_solver::{max_clique_dense_sched, vertex_cover_decision_sched};
-
+    fn width_one<S>(handle: &SchedHandle) -> SolveCtx<'_, S> {
+        SolveCtx {
+            sched: Some(SchedCtx {
+                handle,
+                meta: TaskMeta::adhoc(),
+                width: 1,
+                stop: None,
+            }),
+            ..SolveCtx::default()
+        }
+    }
     let pool = lazymc_sched::Pool::new(2);
     let handle = pool.handle();
+    let bound = || width_one(&handle);
     let adj = dense_graph(120, 550, 42);
     let within = Bitset::full(adj.len());
+    let mut scratch = McScratch::new();
     let mut out = Vec::new();
 
-    // Warm-up grows the thread-local worker arena.
-    assert!(max_clique_dense_sched(
+    // Warm-up grows the caller's arena.
+    assert!(max_clique_search(
         &adj,
         &within,
         0,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
-        None,
+        &mut scratch,
         &mut out,
+        bound()
     ));
     let omega = out.len();
 
     let before = thread_allocs();
-    assert!(max_clique_dense_sched(
+    assert!(max_clique_search(
         &adj,
         &within,
         0,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
-        None,
+        &mut scratch,
         &mut out,
+        bound()
     ));
     let allocs = thread_allocs() - before;
     assert_eq!(out.len(), omega);
     assert_eq!(
         allocs, 0,
-        "sched MC task body allocated {allocs} times after warm-up"
+        "width-1 MC call allocated {allocs} times after warm-up"
     );
 
-    // Same for the k-VC decision body.
+    // Same for the k-VC decision.
     let sparse = dense_graph(90, 250, 17);
     let alive = Bitset::full(sparse.len());
     let mvc = min_vertex_cover(&sparse, None).len();
+    let mut vc_scratch = VcScratch::new();
     let mut cover = Vec::new();
-    let d = vertex_cover_decision_sched(
+    let d = vertex_cover_search(
         &sparse,
         &alive,
         mvc,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
-        None,
+        &mut vc_scratch,
         &mut cover,
+        width_one(&handle),
     );
     assert!(d.found);
 
     let before = thread_allocs();
-    let d = vertex_cover_decision_sched(
+    let d = vertex_cover_search(
         &sparse,
         &alive,
         mvc,
-        &handle,
-        TaskMeta::adhoc(),
-        1,
-        None,
-        None,
+        &mut vc_scratch,
         &mut cover,
+        width_one(&handle),
     );
     let allocs = thread_allocs() - before;
     assert!(d.found);
     assert_eq!(
         allocs, 0,
-        "sched k-VC task body allocated {allocs} times after warm-up"
+        "width-1 k-VC decision allocated {allocs} times after warm-up"
     );
 }
 
