@@ -576,8 +576,9 @@ fn bench_service(reps: usize, out: Option<&str>) -> i32 {
 
 /// `lazymc bench --suite sparse-massive`: the zero-copy mmap régime.
 /// Each solve case snapshots a 10M+-edge synthetic power-law graph to
-/// disk once, then times map→solve through [`MappedSnapshot`] — the heap
-/// decode never happens; coreness is read straight out of the mapping.
+/// disk once, then times map→solve through
+/// [`MappedSnapshot`](lazymc_graph::MappedSnapshot) — the heap decode
+/// never happens; coreness is read straight out of the mapping.
 /// A final case cold-boots an in-process daemon over 100 pre-seeded
 /// snapshots with `--mmap-threshold-bytes 0` and proves through
 /// `/metrics` that not one of them was decoded or re-peeled. Corpora
@@ -1009,7 +1010,7 @@ pub fn fetch(argv: &[String]) -> i32 {
         }
         match http_get(d.url, timeout, 2) {
             Ok(body) => {
-                let sum = fnv1a(&body);
+                let sum = lazymc_graph::snapshot::fnv1a(&body);
                 let fnv_path = format!("{dest}.fnv");
                 if let Ok(recorded) = std::fs::read_to_string(&fnv_path) {
                     if recorded.trim() != format!("{sum:016x}") {
@@ -1056,17 +1057,6 @@ pub fn fetch(argv: &[String]) -> i32 {
         return fail("no corpus could be fetched (mirrors unusable; see messages above)");
     }
     0
-}
-
-/// FNV-1a over a byte slice — the same checksum family the snapshot
-/// format uses, so recorded sums are comparable across tooling.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Validates a bench report against the `lazymc-bench/v1` schema.
@@ -1571,9 +1561,10 @@ pub fn snapshot(argv: &[String]) -> i32 {
     0
 }
 
-/// `lazymc restore` — verify an `.lmcs` snapshot (checksum, structure,
-/// fingerprint, coreness shape) and print its summary; with a second
-/// positional, re-export the graph to an ordinary graph file.
+/// `lazymc restore` — verify an `.lmcs` snapshot through the daemon's
+/// load path (the validation ladder: checksum, structure, fingerprint,
+/// coreness shape) and print its summary; with a second positional,
+/// re-export the graph to an ordinary graph file.
 pub fn restore(argv: &[String]) -> i32 {
     let p = match Parsed::parse(argv) {
         Ok(p) => p,
@@ -1586,22 +1577,17 @@ pub fn restore(argv: &[String]) -> i32 {
         Ok(b) => b,
         Err(e) => return fail(&format!("cannot read {path}: {e}")),
     };
-    let snap = match lazymc_graph::snapshot::Snapshot::decode(&bytes) {
-        Ok(s) => s,
+    let loaded = lazymc_graph::snapshot::Layout::validate(&bytes)
+        .and_then(|layout| Ok((lazymc_order::extract_kcore(&bytes, &layout)?, layout)));
+    let (kc, layout) = match loaded {
+        Ok(loaded) => loaded,
         Err(e) => return fail(&format!("corrupt snapshot {path}: {e}")),
     };
-    let g = match snap.graph() {
-        Ok(g) => g,
-        Err(e) => return fail(&format!("corrupt snapshot {path}: {e}")),
-    };
-    let kc = match lazymc_order::extract_kcore(&snap) {
-        Ok(kc) => kc,
-        Err(e) => return fail(&format!("corrupt snapshot {path}: {e}")),
-    };
+    let g = layout.graph(&bytes);
     println!("snapshot    {path} ({} bytes, checksum ok)", bytes.len());
     println!("vertices    {}", g.num_vertices());
     println!("edges       {}", g.num_edges());
-    println!("fingerprint {:016x}", snap.fingerprint);
+    println!("fingerprint {:016x}", layout.fingerprint);
     println!("degeneracy  {}", kc.degeneracy);
     println!("omega <=    {}", kc.omega_upper_bound());
     println!(

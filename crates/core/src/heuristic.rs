@@ -127,8 +127,8 @@ pub fn coreness_heuristic(
             let clique_rel = clique;
             clique_rel.clear();
             clique_rel.push(v);
-            while !cand.is_empty() {
-                let u = *cand.last().unwrap(); // highest-numbered candidate
+            while let Some(&u) = cand.last() {
+                // u is the highest-numbered candidate.
                 clique_rel.push(u);
                 let theta = inc.size().saturating_sub(clique_rel.len());
                 let res = if cfg.early_exit {

@@ -25,6 +25,8 @@
 //! assert!(g.is_clique(result.vertices()));
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod config;
 pub mod heuristic;
 pub mod incumbent;

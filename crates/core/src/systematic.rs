@@ -653,6 +653,7 @@ pub(crate) fn extract_submatrix_into(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use lazymc_graph::{gen, CsrGraph};

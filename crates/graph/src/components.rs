@@ -98,7 +98,9 @@ pub fn largest_component(g: &CsrGraph) -> (CsrGraph, Vec<VertexId>) {
     for &l in &labels {
         sizes[l as usize] += 1;
     }
-    let best = (0..count).max_by_key(|&c| sizes[c]).unwrap() as u32;
+    let best = (0..count)
+        .max_by_key(|&c| sizes[c])
+        .expect("count > 1 components") as u32;
     let members: Vec<VertexId> = g
         .vertices()
         .filter(|&v| labels[v as usize] == best)

@@ -10,6 +10,7 @@
 //! rely on; [`CsrGraph::validate`] checks them explicitly and is used by the
 //! property tests.
 
+use crate::snapshot::{fnv1a, fnv1a_update};
 use crate::VertexId;
 
 /// An immutable, undirected, simple graph in CSR form.
@@ -32,8 +33,8 @@ impl CsrGraph {
     /// guarantee them.
     pub fn from_parts(offsets: Vec<usize>, targets: Vec<VertexId>) -> Self {
         assert!(!offsets.is_empty(), "offsets must contain at least [0]");
-        assert_eq!(*offsets.first().unwrap(), 0);
-        assert_eq!(*offsets.last().unwrap(), targets.len());
+        assert_eq!(offsets.first(), Some(&0));
+        assert_eq!(offsets.last(), Some(&targets.len()));
         assert!(
             offsets.windows(2).all(|w| w[0] <= w[1]),
             "offsets must be monotone"
@@ -258,25 +259,10 @@ impl CsrGraph {
     /// enough to compute at load time, stable enough to key caches across
     /// re-uploads of the same dataset.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.num_vertices() as u64);
         // Offsets are determined by the degree sequence; hashing the degree
         // gaps keeps the loop branch-free and position-dependent.
-        for w in self.offsets.windows(2) {
-            mix((w[1] - w[0]) as u64);
-        }
-        for &t in &self.targets {
-            mix(t as u64);
-        }
-        h
+        let degrees = self.offsets.windows(2).map(|w| (w[1] - w[0]) as u64);
+        content_fingerprint(self.num_vertices(), degrees, self.targets.iter().copied())
     }
 
     /// The raw CSR arrays `(offsets, targets)`, in the exact form
@@ -308,6 +294,25 @@ impl std::fmt::Debug for CsrGraph {
             self.num_edges()
         )
     }
+}
+
+/// FNV-1a over `n`, the degree sequence and the targets, each mixed as a
+/// little-endian `u64`: the content fingerprint. [`CsrGraph::fingerprint`]
+/// and the snapshot ladder ([`crate::snapshot::Layout::validate`]) both
+/// hash through here, the latter straight from file bytes.
+pub(crate) fn content_fingerprint(
+    n: usize,
+    degrees: impl Iterator<Item = u64>,
+    targets: impl Iterator<Item = VertexId>,
+) -> u64 {
+    let mut h = fnv1a(&(n as u64).to_le_bytes());
+    for d in degrees {
+        h = fnv1a_update(h, &d.to_le_bytes());
+    }
+    for t in targets {
+        h = fnv1a_update(h, &u64::from(t).to_le_bytes());
+    }
+    h
 }
 
 #[cfg(test)]

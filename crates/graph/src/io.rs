@@ -149,7 +149,7 @@ pub fn read_matrix_market<R: Read>(r: R) -> Result<CsrGraph, IoError> {
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
-        if b.is_none() {
+        let Some(b) = b.as_mut() else {
             // dimension line: rows cols nnz
             let mut it = t.split_whitespace();
             let rows: usize = it
@@ -165,8 +165,7 @@ pub fn read_matrix_market<R: Read>(r: R) -> Result<CsrGraph, IoError> {
             let nnz: usize = it.next().unwrap_or("0").parse().unwrap_or(0);
             b = Some(GraphBuilder::with_capacity(rows.max(cols), nnz));
             continue;
-        }
-        let b = b.as_mut().unwrap();
+        };
         let mut it = t.split_whitespace();
         let u: VertexId = it
             .next()
@@ -226,6 +225,7 @@ pub fn write_dimacs<W: Write>(g: &CsrGraph, mut w: W) -> std::io::Result<()> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -23,6 +23,8 @@
 //! the paper assumes (16 per cache line, which motivates the hopscotch hash
 //! neighbourhood size of 16).
 
+#![deny(clippy::unwrap_used)]
+
 pub mod access;
 pub mod builder;
 pub mod components;

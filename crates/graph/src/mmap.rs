@@ -1,16 +1,14 @@
 //! Zero-copy `.lmcs` loading: `mmap` the snapshot file and point CSR
-//! slices straight into the mapping.
+//! slices straight into it.
 //!
 //! The `.lmcs` layout was designed for this from day one (fixed header,
-//! absolute 8-byte-aligned section offsets — see [`crate::snapshot`]);
-//! this module finally cashes that in. [`MappedSnapshot::map`] runs the
-//! *same* validation ladder as [`Snapshot::decode`] +
-//! [`Snapshot::graph`] — exact length, whole-file checksum, hostile
-//! section-table checks, CSR structure, content re-fingerprint — but
-//! reads the bytes through the mapping instead of copying them, so a
-//! validated graph costs one streaming pass at page-cache speed and
-//! **zero resident heap**. The offsets, targets, coreness and peel-order
-//! arrays are then borrowed `&[u64]` / `&[u32]` slices into the file.
+//! absolute 8-byte-aligned section offsets — see [`crate::snapshot`]).
+//! [`MappedSnapshot::map`] runs the one validation ladder every reader
+//! runs, [`Layout::validate`], over the mapped bytes instead of a copy, so
+//! a validated graph costs one streaming pass at page-cache speed and
+//! **zero resident heap**. It keeps the returned [`Layout`] and borrows
+//! its spans as `&[u64]` / `&[u32]` slices into the file: offsets,
+//! targets, coreness and peel order.
 //!
 //! # Safety argument
 //!
@@ -22,8 +20,10 @@
 //! * the mapping is `PROT_READ` + `MAP_PRIVATE` and lives exactly as
 //!   long as the `MappedSnapshot` (unmapped in `Drop`), and every slice
 //!   borrows from `&self`, so no slice can outlive the mapping;
-//! * section bounds were checked against the mapped length before any
-//!   slice is formed, so no slice reaches past the file;
+//! * section bounds were checked against the mapped length by
+//!   [`Layout::validate`] before any slice is formed, and the validated
+//!   [`Layout`] stays private to the struct, so no slice reaches past
+//!   the file;
 //! * snapshot files are only ever replaced by atomic rename
 //!   ([`crate::snapshot::write_file_atomic`]) or quarantined by rename —
 //!   never rewritten in place — so the inode backing an open mapping is
@@ -38,10 +38,7 @@
 //! typed slices.
 
 use crate::csr::CsrGraph;
-use crate::snapshot::{
-    fnv1a_update, HEADER_LEN, MAGIC, SECTION_RECORD_LEN, SEC_CORENESS, SEC_OFFSETS, SEC_PEEL_ORDER,
-    SEC_TARGETS, VERSION,
-};
+use crate::snapshot::{Layout, Span, HEADER_LEN};
 use crate::{access::GraphAccess, VertexId};
 use std::path::Path;
 
@@ -74,27 +71,13 @@ mod sys {
     }
 }
 
-/// Byte range of one section payload inside the mapping.
-#[derive(Clone, Copy)]
-struct Span {
-    offset: usize,
-    count: usize,
-}
-
 /// A validated `.lmcs` snapshot whose CSR arrays are borrowed straight
 /// out of a read-only file mapping. See the module docs for the
 /// validation ladder and the safety argument.
 pub struct MappedSnapshot {
     base: *mut std::os::raw::c_void,
     len: usize,
-    fingerprint: u64,
-    n: usize,
-    m2: usize,
-    offsets: Span,
-    targets: Span,
-    coreness: Option<Span>,
-    peel_order: Option<Span>,
-    degeneracy: u32,
+    layout: Layout,
 }
 
 // SAFETY: the mapping is PROT_READ and never written through; all
@@ -132,14 +115,10 @@ impl Drop for RawMapping {
 }
 
 impl MappedSnapshot {
-    /// Maps `path` and validates it with full decoder parity: anything
-    /// [`Snapshot::decode`] / [`Snapshot::graph`] would reject, this
-    /// rejects with an equivalent error — truncation, bit flips, hostile
-    /// section tables, malformed CSR, fingerprint mismatch — plus shape
-    /// checks on embedded coreness / peel-order sections when present.
-    ///
-    /// [`Snapshot::decode`]: crate::snapshot::Snapshot::decode
-    /// [`Snapshot::graph`]: crate::snapshot::Snapshot::graph
+    /// Maps `path` and runs [`Layout::validate`] over the mapping:
+    /// truncation, bit flips, hostile section tables, malformed CSR,
+    /// fingerprint mismatch and bad coreness / peel-order shapes are all
+    /// rejected before any slice is formed.
     pub fn map(path: &Path) -> Result<MappedSnapshot, String> {
         use std::os::unix::io::AsRawFd;
 
@@ -178,188 +157,14 @@ impl MappedSnapshot {
         // outlives `bytes` via `guard` (moved into the final struct on
         // success, unmapped on error).
         let bytes: &[u8] = unsafe { std::slice::from_raw_parts(base as *const u8, len) };
-        let parsed = Self::validate(bytes)?;
+        let layout = Layout::validate(bytes)?;
         let mapped = MappedSnapshot {
             base: guard.base,
             len: guard.len,
-            fingerprint: parsed.fingerprint,
-            n: parsed.n,
-            m2: parsed.m2,
-            offsets: parsed.offsets,
-            targets: parsed.targets,
-            coreness: parsed.coreness,
-            peel_order: parsed.peel_order,
-            degeneracy: parsed.degeneracy,
+            layout,
         };
         std::mem::forget(guard);
         Ok(mapped)
-    }
-
-    /// The full decoder-parity validation ladder over the mapped bytes.
-    fn validate(bytes: &[u8]) -> Result<ParsedLayout, String> {
-        // ---- header (Snapshot::peek parity) ----
-        if bytes[0..4] != MAGIC {
-            return Err("bad magic (not an .lmcs file)".into());
-        }
-        let version = u32_at(bytes, 4);
-        if version != VERSION {
-            return Err(format!("unsupported snapshot version {version}"));
-        }
-        let file_len = u64_at(bytes, 8);
-        if file_len != bytes.len() as u64 {
-            return Err(format!(
-                "truncated or padded snapshot: header promises {} bytes, file has {}",
-                file_len,
-                bytes.len()
-            ));
-        }
-        let fingerprint = u64_at(bytes, 16);
-        let n_u64 = u64_at(bytes, 24);
-        let m2_u64 = u64_at(bytes, 32);
-        let n = usize::try_from(n_u64).map_err(|_| "vertex count overflows usize")?;
-        let m2 = usize::try_from(m2_u64).map_err(|_| "target count overflows usize")?;
-
-        // ---- whole-file checksum (Snapshot::decode parity) ----
-        let stored_checksum = u64_at(bytes, 48);
-        let computed = fnv1a_update(
-            fnv1a_update(crate::snapshot::fnv1a(&bytes[..48]), &[0u8; 8]),
-            &bytes[56..],
-        );
-        if computed != stored_checksum {
-            return Err(format!(
-                "checksum mismatch: stored {stored_checksum:016x}, computed {computed:016x}"
-            ));
-        }
-
-        // ---- section table (Snapshot::decode parity) ----
-        let section_count = u32_at(bytes, 40) as usize;
-        let table_end = HEADER_LEN
-            .checked_add(
-                section_count
-                    .checked_mul(SECTION_RECORD_LEN)
-                    .ok_or("section table overflow")?,
-            )
-            .ok_or("section table overflow")?;
-        if table_end > bytes.len() {
-            return Err("section table extends past end of file".into());
-        }
-        let mut sections: Vec<(u32, u32, Span)> = Vec::with_capacity(section_count);
-        for i in 0..section_count {
-            let at = HEADER_LEN + i * SECTION_RECORD_LEN;
-            let id = u32_at(bytes, at);
-            let width = u32_at(bytes, at + 4);
-            let offset = u64_at(bytes, at + 8) as usize;
-            let count = u64_at(bytes, at + 16) as usize;
-            if width != 4 && width != 8 {
-                return Err(format!("section {id}: unsupported element width {width}"));
-            }
-            if !offset.is_multiple_of(8) {
-                return Err(format!("section {id}: payload not 8-byte aligned"));
-            }
-            let byte_len = count
-                .checked_mul(width as usize)
-                .ok_or_else(|| format!("section {id}: length overflow"))?;
-            let end = offset
-                .checked_add(byte_len)
-                .ok_or_else(|| format!("section {id}: extent overflow"))?;
-            if offset < table_end || end > bytes.len() {
-                return Err(format!("section {id}: payload out of bounds"));
-            }
-            if sections.iter().any(|(existing, _, _)| *existing == id) {
-                return Err(format!("duplicate section id {id}"));
-            }
-            sections.push((id, width, Span { offset, count }));
-        }
-        let span_of = |want_id: u32, want_width: u32| -> Option<Span> {
-            sections
-                .iter()
-                .find(|(id, width, _)| *id == want_id && *width == want_width)
-                .map(|(_, _, span)| *span)
-        };
-
-        // ---- CSR structure (Snapshot::graph parity) ----
-        let off_span = span_of(SEC_OFFSETS, 8).ok_or("snapshot has no offsets section")?;
-        let tgt_span = span_of(SEC_TARGETS, 4).ok_or("snapshot has no targets section")?;
-        if off_span.count != n + 1 {
-            return Err(format!(
-                "offsets section has {} entries, expected n+1 = {}",
-                off_span.count,
-                n + 1
-            ));
-        }
-        if tgt_span.count != m2 {
-            return Err(format!(
-                "targets section has {} entries, header says {}",
-                tgt_span.count, m2
-            ));
-        }
-        let offsets = slice_u64(bytes, off_span);
-        let targets = slice_u32(bytes, tgt_span);
-        if offsets.first() != Some(&0) || offsets.last() != Some(&(m2 as u64)) {
-            return Err("offsets do not span the targets array".into());
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("offsets are not monotone".into());
-        }
-        if n > 0 && targets.iter().any(|&t| (t as usize) >= n) {
-            return Err("target vertex out of range".into());
-        }
-        if n == 0 && !targets.is_empty() {
-            return Err("targets present in an empty graph".into());
-        }
-
-        // ---- content re-fingerprint (Snapshot::graph parity), computed
-        // over the mapped slices — no CSR copy ----
-        let fp = fingerprint_csr(n, offsets, targets);
-        if fp != fingerprint {
-            return Err(format!(
-                "content fingerprint mismatch: stored {fingerprint:016x}, decoded {fp:016x}"
-            ));
-        }
-
-        // ---- embedded decomposition (extract_kcore parity) ----
-        let coreness = span_of(SEC_CORENESS, 4);
-        if let Some(span) = coreness {
-            if span.count != n {
-                return Err(format!(
-                    "coreness section has {} entries for {n} vertices",
-                    span.count
-                ));
-            }
-        }
-        let peel_order = span_of(SEC_PEEL_ORDER, 4);
-        if let Some(span) = peel_order {
-            if span.count != n {
-                return Err(format!(
-                    "peel order has {} entries for {n} vertices",
-                    span.count
-                ));
-            }
-            let order = slice_u32(bytes, span);
-            let mut seen = vec![false; n];
-            for &v in order {
-                let Some(slot) = seen.get_mut(v as usize) else {
-                    return Err(format!("peel order names out-of-range vertex {v}"));
-                };
-                if std::mem::replace(slot, true) {
-                    return Err(format!("peel order repeats vertex {v}"));
-                }
-            }
-        }
-        let degeneracy = coreness
-            .map(|span| slice_u32(bytes, span).iter().copied().max().unwrap_or(0))
-            .unwrap_or(0);
-
-        Ok(ParsedLayout {
-            fingerprint,
-            n,
-            m2,
-            offsets: off_span,
-            targets: tgt_span,
-            coreness,
-            peel_order,
-            degeneracy,
-        })
     }
 
     /// The mapped bytes (whole file).
@@ -371,35 +176,38 @@ impl MappedSnapshot {
 
     /// CSR row offsets, borrowed from the mapping (`n + 1` entries).
     pub fn offsets(&self) -> &[u64] {
-        slice_u64(self.bytes(), self.offsets)
+        slice_u64(self.bytes(), self.layout.offsets)
     }
 
     /// CSR adjacency targets, borrowed from the mapping (`m2` entries).
     pub fn targets(&self) -> &[u32] {
-        slice_u32(self.bytes(), self.targets)
+        slice_u32(self.bytes(), self.layout.targets)
     }
 
     /// Embedded per-vertex coreness, borrowed from the mapping.
     pub fn coreness(&self) -> Option<&[u32]> {
-        self.coreness.map(|span| slice_u32(self.bytes(), span))
+        self.layout
+            .coreness
+            .map(|span| slice_u32(self.bytes(), span))
     }
 
     /// Embedded sequential peel order (empty when the snapshot was
     /// written from a parallel decomposition, which records none).
     pub fn peel_order(&self) -> &[u32] {
-        self.peel_order
+        self.layout
+            .peel_order
             .map(|span| slice_u32(self.bytes(), span))
             .unwrap_or(&[])
     }
 
     /// Content fingerprint (validated against the stored CSR on map).
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.layout.fingerprint
     }
 
     /// Degeneracy = max embedded coreness (0 when no coreness section).
     pub fn degeneracy(&self) -> u32 {
-        self.degeneracy
+        self.layout.degeneracy
     }
 
     /// Size of the backing file in bytes (the mapping's length).
@@ -431,21 +239,24 @@ impl std::fmt::Debug for MappedSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MappedSnapshot")
             .field("len", &self.len)
-            .field("n", &self.n)
-            .field("m2", &self.m2)
-            .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
-            .field("degeneracy", &self.degeneracy)
+            .field("n", &self.layout.n)
+            .field("m2", &self.layout.m2)
+            .field(
+                "fingerprint",
+                &format_args!("{:016x}", self.layout.fingerprint),
+            )
+            .field("degeneracy", &self.layout.degeneracy)
             .finish()
     }
 }
 
 impl GraphAccess for MappedSnapshot {
     fn num_vertices(&self) -> usize {
-        self.n
+        self.layout.n
     }
 
     fn num_edges(&self) -> usize {
-        self.m2 / 2
+        self.layout.m2 / 2
     }
 
     fn neighbors(&self, v: VertexId) -> &[VertexId] {
@@ -461,56 +272,6 @@ impl GraphAccess for MappedSnapshot {
     }
 }
 
-/// What `validate` extracts from the bytes, before the struct exists.
-struct ParsedLayout {
-    fingerprint: u64,
-    n: usize,
-    m2: usize,
-    offsets: Span,
-    targets: Span,
-    coreness: Option<Span>,
-    peel_order: Option<Span>,
-    degeneracy: u32,
-}
-
-/// [`CsrGraph::fingerprint`] recomputed over borrowed snapshot slices:
-/// n, then degree gaps, then targets — byte-identical mixing.
-fn fingerprint_csr(n: usize, offsets: &[u64], targets: &[u32]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(n as u64);
-    for w in offsets.windows(2) {
-        mix(w[1] - w[0]);
-    }
-    for &t in targets {
-        mix(t as u64);
-    }
-    h
-}
-
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(
-        bytes[at..at + 4]
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("bounds checked by caller")),
-    )
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(
-        bytes[at..at + 8]
-            .try_into()
-            .unwrap_or_else(|_| unreachable!("bounds checked by caller")),
-    )
-}
-
 /// Borrows a validated u64 section out of the mapped bytes.
 fn slice_u64(bytes: &[u8], span: Span) -> &[u64] {
     let ptr = bytes[span.offset..span.offset + span.count * 8].as_ptr();
@@ -519,7 +280,7 @@ fn slice_u64(bytes: &[u8], span: Span) -> &[u64] {
         "section offset must be 8-aligned"
     );
     // SAFETY: the span's bounds and 8-byte alignment were validated
-    // against the mapping before construction (see `validate`); the
+    // against the mapping before construction (`Layout::validate`); the
     // mapping base itself is page-aligned, so `base + offset` is
     // 8-aligned. u64 has no invalid bit patterns. Lifetime is tied to
     // `bytes`, which borrows the mapping.

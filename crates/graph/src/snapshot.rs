@@ -12,17 +12,19 @@
 //! * the section payloads themselves, each starting on an 8-byte boundary
 //!   and zero-padded to one.
 //!
-//! Today the decoder copies sections into owned `Vec`s; because every
-//! offset in the table is absolute and 8-byte aligned, a future zero-copy
-//! loader can `mmap` the file and point slices straight into it without a
-//! format change.
-//!
-//! Corruption detection is layered: the header carries the exact file
-//! length (truncation), an FNV-1a checksum over the whole file (bit flips
-//! anywhere, header included), and [`Snapshot::graph`] re-fingerprints the
-//! decoded CSR against the recorded content fingerprint. Every decode path
-//! returns `Err` rather than panicking on hostile bytes.
+//! [`Snapshot`] is the writer. Every reader goes through one validation
+//! ladder, [`Layout::validate`]: exact length (truncation), an FNV-1a
+//! checksum over the whole file (bit flips anywhere, header included),
+//! the section table, CSR structure, a re-fingerprint of the CSR against
+//! the recorded content fingerprint, and the shape of the embedded
+//! coreness and peel order. It returns `Err` rather than panicking on
+//! hostile bytes, and reads them without assuming alignment, so the same
+//! function checks a heap buffer and a file mapping. What it returns is
+//! a set of validated [`Span`]s: the heap loader copies them out
+//! ([`Layout::graph`]), the zero-copy loader ([`crate::MappedSnapshot`])
+//! borrows them in place.
 
+use crate::csr::content_fingerprint;
 use crate::CsrGraph;
 use std::io::Write as _;
 use std::path::Path;
@@ -90,12 +92,11 @@ pub struct SnapshotInfo {
     pub m2: u64,
 }
 
-/// An in-memory snapshot: fingerprint + typed sections.
+/// An in-memory snapshot under construction: fingerprint + typed sections.
 ///
 /// Build one with [`Snapshot::from_graph`], attach extra sections (e.g.
 /// coreness) with [`Snapshot::push_section`], then [`Snapshot::encode`].
-/// The reverse path is [`Snapshot::decode`] → [`Snapshot::graph`] /
-/// [`Snapshot::u32_section`].
+/// The reverse path is [`Layout::validate`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub fingerprint: u64,
@@ -126,86 +127,6 @@ impl Snapshot {
     pub fn push_section(&mut self, id: u32, data: SectionData) {
         self.sections.retain(|(existing, _)| *existing != id);
         self.sections.push((id, data));
-    }
-
-    /// The section with this id, if present.
-    pub fn section(&self, id: u32) -> Option<&SectionData> {
-        self.sections
-            .iter()
-            .find(|(existing, _)| *existing == id)
-            .map(|(_, d)| d)
-    }
-
-    /// A `u32` section's payload, if present with that element width.
-    pub fn u32_section(&self, id: u32) -> Option<&[u32]> {
-        match self.section(id) {
-            Some(SectionData::U32(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// A `u64` section's payload, if present with that element width.
-    pub fn u64_section(&self, id: u32) -> Option<&[u64]> {
-        match self.section(id) {
-            Some(SectionData::U64(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Reconstructs the CSR graph, validating structure (monotone offsets,
-    /// in-range targets) and re-fingerprinting against the header value, so
-    /// corruption that slipped past the checksum still cannot produce a
-    /// silently wrong graph.
-    pub fn graph(&self) -> Result<CsrGraph, String> {
-        let offsets_raw = self
-            .u64_section(SEC_OFFSETS)
-            .ok_or("snapshot has no offsets section")?;
-        let targets = self
-            .u32_section(SEC_TARGETS)
-            .ok_or("snapshot has no targets section")?;
-        if offsets_raw.len() as u64 != self.n + 1 {
-            return Err(format!(
-                "offsets section has {} entries, expected n+1 = {}",
-                offsets_raw.len(),
-                self.n + 1
-            ));
-        }
-        if targets.len() as u64 != self.m2 {
-            return Err(format!(
-                "targets section has {} entries, header says {}",
-                targets.len(),
-                self.m2
-            ));
-        }
-        let mut offsets = Vec::with_capacity(offsets_raw.len());
-        for &o in offsets_raw {
-            if o > targets.len() as u64 {
-                return Err(format!("offset {o} exceeds targets length"));
-            }
-            offsets.push(o as usize);
-        }
-        if offsets.first() != Some(&0) || offsets.last() != Some(&targets.len()) {
-            return Err("offsets do not span the targets array".into());
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("offsets are not monotone".into());
-        }
-        let n = offsets.len() - 1;
-        if targets.iter().any(|&t| (t as usize) >= n) && n > 0 {
-            return Err("target vertex out of range".into());
-        }
-        if n == 0 && !targets.is_empty() {
-            return Err("targets present in an empty graph".into());
-        }
-        let g = CsrGraph::from_parts(offsets, targets.to_vec());
-        let fp = g.fingerprint();
-        if fp != self.fingerprint {
-            return Err(format!(
-                "content fingerprint mismatch: stored {:016x}, decoded {fp:016x}",
-                self.fingerprint
-            ));
-        }
-        Ok(g)
     }
 
     /// Serializes to the `.lmcs` byte layout (header, section table,
@@ -266,8 +187,8 @@ impl Snapshot {
 
     /// Reads just the fixed header: magic, version, promised length,
     /// fingerprint, counts. Cheap enough to run over a whole directory at
-    /// boot. Does **not** verify the checksum — that happens on full
-    /// [`Snapshot::decode`].
+    /// boot. Does **not** verify the checksum — that happens in
+    /// [`Layout::validate`].
     pub fn peek(bytes: &[u8]) -> Result<SnapshotInfo, String> {
         if bytes.len() < HEADER_LEN {
             return Err(format!(
@@ -290,10 +211,66 @@ impl Snapshot {
             m2: u64_at(bytes, 32),
         })
     }
+}
 
-    /// Full decode with corruption detection: exact-length check,
-    /// whole-file checksum, bounds- and alignment-checked section table.
-    pub fn decode(bytes: &[u8]) -> Result<Snapshot, String> {
+/// Byte range of one section payload: `count` little-endian elements at
+/// the absolute file offset `offset`. Only [`Layout::validate`] makes
+/// one, after checking the range lies inside the bytes it validated.
+#[derive(Debug, Clone, Copy)]
+#[non_exhaustive]
+pub struct Span {
+    pub offset: usize,
+    pub count: usize,
+}
+
+impl Span {
+    /// The payload as `u32`s, read bytewise (any buffer alignment).
+    pub fn u32s(self, bytes: &[u8]) -> impl DoubleEndedIterator<Item = u32> + Clone + '_ {
+        let (words, _) = bytes[self.offset..self.offset + 4 * self.count].as_chunks();
+        words.iter().map(|&w| u32::from_le_bytes(w))
+    }
+
+    /// The payload as `u64`s, read bytewise (any buffer alignment).
+    pub(crate) fn u64s(self, bytes: &[u8]) -> impl DoubleEndedIterator<Item = u64> + Clone + '_ {
+        let (words, _) = bytes[self.offset..self.offset + 8 * self.count].as_chunks();
+        words.iter().map(|&w| u64::from_le_bytes(w))
+    }
+}
+
+/// A snapshot that passed the validation ladder: header values plus the
+/// [`Span`]s of the sections readers use, valid for the bytes that were
+/// validated.
+#[derive(Debug)]
+#[non_exhaustive]
+pub struct Layout {
+    /// Content fingerprint, re-checked against the stored CSR.
+    pub fingerprint: u64,
+    /// Vertex count.
+    pub n: usize,
+    /// Length of the targets array.
+    pub m2: usize,
+    /// CSR row offsets (`u64`, `n + 1` entries, `0..=m2`, monotone).
+    pub offsets: Span,
+    /// CSR adjacency targets (`u32`, `m2` entries, each `< n`).
+    pub targets: Span,
+    /// Embedded coreness (`u32`, `n` entries), when present.
+    pub coreness: Option<Span>,
+    /// Embedded peel order (`u32`, a permutation of `0..n`), when present.
+    pub peel_order: Option<Span>,
+    /// Maximum embedded coreness (0 without a coreness section).
+    pub degeneracy: u32,
+}
+
+impl Layout {
+    /// The validation ladder every `.lmcs` reader runs: header
+    /// ([`Snapshot::peek`]), exact length, whole-file checksum, section
+    /// table (known widths, 8-byte-aligned in-bounds payloads, no
+    /// duplicate ids), CSR structure, content re-fingerprint, and the
+    /// shape of the embedded coreness and peel order. Corruption that
+    /// slipped past the checksum still cannot produce a silently wrong
+    /// graph. Sections are found by id *and* element width; unknown ids
+    /// are bounds-checked and skipped.
+    pub fn validate(bytes: &[u8]) -> Result<Layout, String> {
         let info = Snapshot::peek(bytes)?;
         if info.file_len != bytes.len() as u64 {
             return Err(format!(
@@ -311,6 +288,7 @@ impl Snapshot {
                 "checksum mismatch: stored {stored_checksum:016x}, computed {computed:016x}"
             ));
         }
+
         let section_count = u32_at(bytes, 40) as usize;
         let table_end = HEADER_LEN
             .checked_add(
@@ -322,7 +300,7 @@ impl Snapshot {
         if table_end > bytes.len() {
             return Err("section table extends past end of file".into());
         }
-        let mut sections = Vec::with_capacity(section_count);
+        let mut sections: Vec<(u32, u32, Span)> = Vec::with_capacity(section_count);
         for i in 0..section_count {
             let at = HEADER_LEN + i * SECTION_RECORD_LEN;
             let id = u32_at(bytes, at);
@@ -344,22 +322,99 @@ impl Snapshot {
             if offset < table_end || end > bytes.len() {
                 return Err(format!("section {id}: payload out of bounds"));
             }
-            let data = if width == 4 {
-                SectionData::U32((0..count).map(|j| u32_at(bytes, offset + j * 4)).collect())
-            } else {
-                SectionData::U64((0..count).map(|j| u64_at(bytes, offset + j * 8)).collect())
-            };
-            if sections.iter().any(|(existing, _)| *existing == id) {
+            if sections.iter().any(|(existing, _, _)| *existing == id) {
                 return Err(format!("duplicate section id {id}"));
             }
-            sections.push((id, data));
+            sections.push((id, width, Span { offset, count }));
         }
-        Ok(Snapshot {
+        let span_of = |want_id: u32, want_width: u32| -> Option<Span> {
+            sections
+                .iter()
+                .find(|(id, width, _)| *id == want_id && *width == want_width)
+                .map(|(_, _, span)| *span)
+        };
+
+        let n = usize::try_from(info.n).map_err(|_| "vertex count overflows usize")?;
+        let m2 = usize::try_from(info.m2).map_err(|_| "target count overflows usize")?;
+        let offsets = span_of(SEC_OFFSETS, 8).ok_or("snapshot has no offsets section")?;
+        let targets = span_of(SEC_TARGETS, 4).ok_or("snapshot has no targets section")?;
+        if n.checked_add(1) != Some(offsets.count) {
+            return Err(format!(
+                "offsets section has {} entries, expected n+1 = {}",
+                offsets.count,
+                u128::from(info.n) + 1
+            ));
+        }
+        if targets.count != m2 {
+            return Err(format!(
+                "targets section has {} entries, header says {m2}",
+                targets.count
+            ));
+        }
+        let offs = || offsets.u64s(bytes);
+        if offs().next() != Some(0) || offs().next_back() != Some(m2 as u64) {
+            return Err("offsets do not span the targets array".into());
+        }
+        if offs().zip(offs().skip(1)).any(|(a, b)| a > b) {
+            return Err("offsets are not monotone".into());
+        }
+        if targets.u32s(bytes).any(|t| t as usize >= n) {
+            return Err("target vertex out of range".into());
+        }
+        let degrees = offs().zip(offs().skip(1)).map(|(a, b)| b - a);
+        let fp = content_fingerprint(n, degrees, targets.u32s(bytes));
+        if fp != info.fingerprint {
+            return Err(format!(
+                "content fingerprint mismatch: stored {:016x}, decoded {fp:016x}",
+                info.fingerprint
+            ));
+        }
+
+        let coreness = span_of(SEC_CORENESS, 4);
+        if let Some(span) = coreness.filter(|span| span.count != n) {
+            return Err(format!(
+                "coreness section has {} entries for {n} vertices",
+                span.count
+            ));
+        }
+        let peel_order = span_of(SEC_PEEL_ORDER, 4);
+        if let Some(span) = peel_order {
+            if span.count != n {
+                return Err(format!(
+                    "peel order has {} entries for {n} vertices",
+                    span.count
+                ));
+            }
+            let mut seen = vec![false; n];
+            for v in span.u32s(bytes) {
+                let Some(slot) = seen.get_mut(v as usize) else {
+                    return Err(format!("peel order names out-of-range vertex {v}"));
+                };
+                if std::mem::replace(slot, true) {
+                    return Err(format!("peel order repeats vertex {v}"));
+                }
+            }
+        }
+        let degeneracy = coreness.map_or(0, |span| span.u32s(bytes).max().unwrap_or(0));
+        Ok(Layout {
             fingerprint: info.fingerprint,
-            n: info.n,
-            m2: info.m2,
-            sections,
+            n,
+            m2,
+            offsets,
+            targets,
+            coreness,
+            peel_order,
+            degeneracy,
         })
+    }
+
+    /// Copies the validated CSR out of `bytes` (the buffer this layout was
+    /// validated against) into an owned graph.
+    pub fn graph(&self, bytes: &[u8]) -> CsrGraph {
+        CsrGraph::from_parts(
+            self.offsets.u64s(bytes).map(|o| o as usize).collect(),
+            self.targets.u32s(bytes).collect(),
+        )
     }
 }
 
@@ -368,15 +423,15 @@ fn align8(x: usize) -> usize {
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
+    u32::from_le_bytes(std::array::from_fn(|i| bytes[at + i]))
 }
 
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    u64::from_le_bytes(std::array::from_fn(|i| bytes[at + i]))
 }
 
-/// FNV-1a over a byte stream — the same family as
-/// [`CsrGraph::fingerprint`], applied bytewise.
+/// FNV-1a over a byte stream: the file checksum, and the hash under
+/// [`CsrGraph::fingerprint`].
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_update(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -430,9 +485,32 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::gen;
+    use crate::{gen, MappedSnapshot};
+
+    /// Re-patches the checksum of `bytes`, so only the structural rungs of
+    /// the ladder can catch the damage, then asserts that a heap buffer and
+    /// a mapped file are both rejected with the same error, and returns it.
+    fn rejected(mut bytes: Vec<u8>) -> String {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        bytes[48..56].fill(0);
+        let c = fnv1a(&bytes);
+        bytes[48..56].copy_from_slice(&c.to_le_bytes());
+        let heap = Layout::validate(&bytes).expect_err("heap buffer accepted");
+        let path = std::env::temp_dir().join(format!(
+            "lmcs_rejected_{}_{}.lmcs",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        write_file_atomic(&path, &bytes).unwrap();
+        let mapped = MappedSnapshot::map(&path).expect_err("mapped file accepted");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(heap, mapped, "heap and mapped loaders disagree");
+        heap
+    }
 
     #[test]
     fn round_trip_preserves_graph_and_fingerprint() {
@@ -443,12 +521,10 @@ mod tests {
             CsrGraph::empty(5),
             gen::path(2),
         ] {
-            let snap = Snapshot::from_graph(&g);
-            let bytes = snap.encode();
-            let back = Snapshot::decode(&bytes).expect("decode");
-            assert_eq!(back.fingerprint, g.fingerprint());
-            let h = back.graph().expect("graph");
-            assert_eq!(h, g);
+            let bytes = Snapshot::from_graph(&g).encode();
+            let layout = Layout::validate(&bytes).expect("validate");
+            assert_eq!(layout.fingerprint, g.fingerprint());
+            assert_eq!(layout.graph(&bytes), g);
         }
     }
 
@@ -458,10 +534,19 @@ mod tests {
         let mut snap = Snapshot::from_graph(&g);
         snap.push_section(SEC_CORENESS, SectionData::U32(vec![2; 10]));
         snap.push_section(99, SectionData::U64(vec![7, 8, 9]));
-        let back = Snapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(back.u32_section(SEC_CORENESS), Some(&[2u32; 10][..]));
-        assert_eq!(back.u64_section(99), Some(&[7u64, 8, 9][..]));
-        assert!(back.u32_section(99).is_none(), "width-typed accessors");
+        let bytes = snap.encode();
+        let coreness = Layout::validate(&bytes).unwrap().coreness.unwrap();
+        assert_eq!(coreness.u32s(&bytes).collect::<Vec<_>>(), [2; 10]);
+        // The unknown section is skipped by the ladder but round-trips.
+        let at = HEADER_LEN + 3 * SECTION_RECORD_LEN;
+        assert_eq!(u32_at(&bytes, at), 99);
+        let offset = u64_at(&bytes, at + 8) as usize;
+        let extra = Span { offset, count: 3 };
+        assert_eq!(extra.u64s(&bytes).collect::<Vec<_>>(), [7, 8, 9]);
+        // Sections are found by id and width: a u64 coreness is none.
+        snap.push_section(SEC_CORENESS, SectionData::U64(vec![2; 10]));
+        let bytes = snap.encode();
+        assert!(Layout::validate(&bytes).unwrap().coreness.is_none());
     }
 
     #[test]
@@ -470,7 +555,9 @@ mod tests {
         let mut snap = Snapshot::from_graph(&g);
         snap.push_section(SEC_CORENESS, SectionData::U32(vec![1; 4]));
         snap.push_section(SEC_CORENESS, SectionData::U32(vec![2; 4]));
-        assert_eq!(snap.u32_section(SEC_CORENESS), Some(&[2u32; 4][..]));
+        let bytes = snap.encode();
+        let coreness = Layout::validate(&bytes).unwrap().coreness.unwrap();
+        assert_eq!(coreness.u32s(&bytes).collect::<Vec<_>>(), [2; 4]);
     }
 
     #[test]
@@ -500,14 +587,14 @@ mod tests {
             bytes.len() - 1,
         ] {
             assert!(
-                Snapshot::decode(&bytes[..cut]).is_err(),
+                Layout::validate(&bytes[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
         }
         // Padding (extra bytes) is also rejected.
         let mut padded = bytes.clone();
         padded.extend_from_slice(&[0; 8]);
-        assert!(Snapshot::decode(&padded).is_err());
+        assert!(Layout::validate(&padded).is_err());
     }
 
     #[test]
@@ -518,7 +605,7 @@ mod tests {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
             assert!(
-                Snapshot::decode(&corrupt).is_err(),
+                Layout::validate(&corrupt).is_err(),
                 "flip at byte {i} went undetected"
             );
         }
@@ -544,60 +631,75 @@ mod tests {
     fn hostile_section_tables_do_not_panic() {
         let g = gen::path(6);
         let base = Snapshot::from_graph(&g).encode();
-        // Corrupt the table in targeted ways, re-patching the checksum so
-        // only the structural validation can catch it.
-        let rewrite = |f: &mut dyn FnMut(&mut Vec<u8>)| {
+        // Corrupt the header or table in targeted ways; `rejected`
+        // re-patches the checksum.
+        let offsets_at = u64_at(&base, HEADER_LEN + 8);
+        for (at, field, want) in [
+            // Section offset pointing past the end.
+            (
+                HEADER_LEN + 8,
+                (1u64 << 40).to_le_bytes().to_vec(),
+                "out of bounds",
+            ),
+            // Element count overflowing the extent.
+            (
+                HEADER_LEN + 16,
+                u64::MAX.to_le_bytes().to_vec(),
+                "length overflow",
+            ),
+            // Bogus element width.
+            (
+                HEADER_LEN + 4,
+                3u32.to_le_bytes().to_vec(),
+                "unsupported element width",
+            ),
+            // Misaligned payload offset.
+            (
+                HEADER_LEN + 8,
+                (offsets_at + 4).to_le_bytes().to_vec(),
+                "not 8-byte aligned",
+            ),
+            // A vertex count whose n+1 overflows.
+            (24, u64::MAX.to_le_bytes().to_vec(), "expected n+1"),
+        ] {
             let mut b = base.clone();
-            f(&mut b);
-            b[48..56].fill(0);
-            let c = fnv1a(&b);
-            b[48..56].copy_from_slice(&c.to_le_bytes());
-            Snapshot::decode(&b)
-        };
-        // Section offset pointing past the end.
-        assert!(rewrite(&mut |b| {
-            let at = HEADER_LEN + 8;
-            b[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        })
-        .is_err());
-        // Element count overflowing the extent.
-        assert!(rewrite(&mut |b| {
-            let at = HEADER_LEN + 16;
-            b[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        })
-        .is_err());
-        // Bogus element width.
-        assert!(rewrite(&mut |b| {
-            let at = HEADER_LEN + 4;
-            b[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
-        })
-        .is_err());
-        // Misaligned payload offset.
-        assert!(rewrite(&mut |b| {
-            let at = HEADER_LEN + 8;
-            let off = u64_at(b, at) + 4;
-            b[at..at + 8].copy_from_slice(&off.to_le_bytes());
-        })
-        .is_err());
+            b[at..at + field.len()].copy_from_slice(&field);
+            let err = rejected(b);
+            assert!(err.contains(want), "{want:?} not in {err:?}");
+        }
     }
 
     #[test]
     fn graph_rejects_structurally_bad_sections() {
-        let g = gen::path(4);
-        // Offsets not spanning targets.
-        let mut snap = Snapshot::from_graph(&g);
-        snap.push_section(SEC_OFFSETS, SectionData::U64(vec![0, 1, 2, 3, 4]));
-        assert!(snap.graph().is_err());
-        // Out-of-range target.
-        let mut snap = Snapshot::from_graph(&g);
-        let mut targets = snap.u32_section(SEC_TARGETS).unwrap().to_vec();
+        let g = gen::path(4); // offsets [0, 1, 3, 5, 6]
+        let with = |id: u32, data: SectionData| {
+            let mut snap = Snapshot::from_graph(&g);
+            snap.push_section(id, data);
+            rejected(snap.encode())
+        };
+        let mut targets = g.raw_parts().1.to_vec();
         targets[0] = 1000;
-        snap.push_section(SEC_TARGETS, SectionData::U32(targets));
-        assert!(snap.graph().is_err());
+        for (err, want) in [
+            (
+                with(SEC_OFFSETS, SectionData::U64(vec![0, 1, 2, 3, 4])),
+                "do not span",
+            ),
+            (
+                with(SEC_OFFSETS, SectionData::U64(vec![0, 3, 1, 5, 6])),
+                "not monotone",
+            ),
+            (
+                with(SEC_TARGETS, SectionData::U32(targets)),
+                "target vertex out of range",
+            ),
+        ] {
+            assert!(err.contains(want), "{want:?} not in {err:?}");
+        }
         // Fingerprint mismatch.
         let mut snap = Snapshot::from_graph(&g);
         snap.fingerprint ^= 1;
-        assert!(snap.graph().is_err());
+        let err = rejected(snap.encode());
+        assert!(err.contains("content fingerprint mismatch"), "{err}");
     }
 
     #[test]

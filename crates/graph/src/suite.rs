@@ -216,6 +216,7 @@ pub fn by_name(name: &str) -> Option<SuiteInstance> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -1,8 +1,8 @@
-//! Property tests for the `.lmcs` snapshot container: `decode ∘ encode`
-//! identity on arbitrary graphs (including the suite's synthetic régimes)
+//! Property tests for the `.lmcs` snapshot container: validate-and-copy
+//! ∘ encode identity on arbitrary graphs (including the suite's synthetic régimes)
 //! and corruption rejection under random byte flips and truncations.
 
-use lazymc_graph::snapshot::{SectionData, Snapshot, SEC_CORENESS};
+use lazymc_graph::snapshot::{Layout, SectionData, Snapshot, SEC_CORENESS};
 use lazymc_graph::{gen, CsrGraph};
 use proptest::prelude::*;
 
@@ -23,8 +23,8 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// encode ∘ decode is the identity on the graph, its fingerprint, and
-    /// any attached sections.
+    /// Encoding then validating and copying out is the identity on the
+    /// graph, its fingerprint, and any attached sections.
     #[test]
     fn round_trip_identity(g in arb_graph()) {
         let n = g.num_vertices();
@@ -32,11 +32,11 @@ proptest! {
         let coreness: Vec<u32> = (0..n as u32).map(|v| v % 7).collect();
         snap.push_section(SEC_CORENESS, SectionData::U32(coreness.clone()));
         let bytes = snap.encode();
-        let back = Snapshot::decode(&bytes).expect("decode of a fresh encode");
-        prop_assert_eq!(back.fingerprint, g.fingerprint());
-        let h = back.graph().expect("graph reconstruction");
-        prop_assert_eq!(&h, &g);
-        prop_assert_eq!(back.u32_section(SEC_CORENESS), Some(&coreness[..]));
+        let layout = Layout::validate(&bytes).expect("validation of a fresh encode");
+        prop_assert_eq!(layout.fingerprint, g.fingerprint());
+        prop_assert_eq!(&layout.graph(&bytes), &g);
+        let back: Option<Vec<u32>> = layout.coreness.map(|span| span.u32s(&bytes).collect());
+        prop_assert_eq!(back, Some(coreness.clone()));
         // Determinism: same snapshot, same bytes.
         let mut again = Snapshot::from_graph(&g);
         again.push_section(SEC_CORENESS, SectionData::U32(coreness));
@@ -52,7 +52,7 @@ proptest! {
         let mut corrupt = bytes.clone();
         corrupt[at] ^= 1u8 << bit;
         prop_assert!(
-            Snapshot::decode(&corrupt).is_err(),
+            Layout::validate(&corrupt).is_err(),
             "flip of bit {} at byte {}/{} went undetected", bit, at, bytes.len()
         );
     }
@@ -63,6 +63,6 @@ proptest! {
         let bytes = Snapshot::from_graph(&g).encode();
         let cut = (cut_frac as usize * bytes.len()) / 1000;
         let cut = cut.min(bytes.len() - 1);
-        prop_assert!(Snapshot::decode(&bytes[..cut]).is_err());
+        prop_assert!(Layout::validate(&bytes[..cut]).is_err());
     }
 }

@@ -83,7 +83,7 @@ pub fn kcore_sequential(g: &dyn GraphAccess) -> KCore {
         };
     }
     let mut degree: Vec<u32> = g.degrees();
-    let max_deg = *degree.iter().max().unwrap() as usize;
+    let max_deg = degree.iter().max().map_or(0, |&d| d as usize);
 
     // Bucket queue: vertices grouped by current degree, with per-vertex
     // positions so we can move a vertex between buckets in O(1).

@@ -35,6 +35,8 @@
 //! assert_eq!(kc.coreness[top as usize], kc.degeneracy);
 //! ```
 
+#![deny(clippy::unwrap_used)]
+
 pub mod kcore;
 pub mod relabel;
 pub mod snapshot;

@@ -122,6 +122,7 @@ pub fn level_ranges(order: &VertexOrder, coreness: &[u32], degeneracy: u32) -> V
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::kcore::kcore_sequential;

@@ -4,12 +4,11 @@
 //! service's registry precomputes once per graph; embedding them in the
 //! graph's snapshot means a daemon restart reloads them instead of paying
 //! the O(n + m) peeling again. The degeneracy is not stored — it is the
-//! maximum of the coreness array and is recomputed in O(n) on extract,
-//! which doubles as a consistency check surface.
+//! maximum of the coreness array, recomputed in O(n) by the validation
+//! ladder ([`Layout::validate`]), which also checks both sections' shape.
 
 use crate::kcore::KCore;
-use lazymc_graph::snapshot::{SectionData, Snapshot, SEC_CORENESS, SEC_PEEL_ORDER};
-use lazymc_graph::VertexId;
+use lazymc_graph::snapshot::{Layout, SectionData, Snapshot, SEC_CORENESS, SEC_PEEL_ORDER};
 
 /// Writes `kc` into `snap` as coreness + peel-order sections. The peel
 /// order section is omitted when the decomposition has none (parallel
@@ -21,58 +20,43 @@ pub fn embed_kcore(snap: &mut Snapshot, kc: &KCore) {
     }
 }
 
-/// Reconstructs a [`KCore`] from snapshot sections, validating shape: the
-/// coreness length must match the vertex count, and a present peel order
-/// must be a permutation of the vertices. Returns `Err` on any mismatch
-/// rather than handing the solver a decomposition it cannot trust.
-pub fn extract_kcore(snap: &Snapshot) -> Result<KCore, String> {
-    let n = snap.n as usize;
-    let coreness = snap
-        .u32_section(SEC_CORENESS)
-        .ok_or("snapshot has no coreness section")?
-        .to_vec();
-    if coreness.len() != n {
-        return Err(format!(
-            "coreness section has {} entries for {} vertices",
-            coreness.len(),
-            n
-        ));
-    }
-    let peel_order: Vec<VertexId> = match snap.u32_section(SEC_PEEL_ORDER) {
-        None => Vec::new(),
-        Some(order) => {
-            if order.len() != n {
-                return Err(format!(
-                    "peel order has {} entries for {} vertices",
-                    order.len(),
-                    n
-                ));
-            }
-            let mut seen = vec![false; n];
-            for &v in order {
-                let Some(slot) = seen.get_mut(v as usize) else {
-                    return Err(format!("peel order names out-of-range vertex {v}"));
-                };
-                if std::mem::replace(slot, true) {
-                    return Err(format!("peel order repeats vertex {v}"));
-                }
-            }
-            order.to_vec()
-        }
-    };
-    let degeneracy = coreness.iter().copied().max().unwrap_or(0);
+/// Copies the embedded [`KCore`] out of `bytes`, which `layout` was
+/// validated against. The ladder has already checked that the coreness
+/// has one entry per vertex and that a present peel order is a
+/// permutation of the vertices; what is left to reject is a snapshot
+/// without a decomposition, which the solver cannot be handed.
+pub fn extract_kcore(bytes: &[u8], layout: &Layout) -> Result<KCore, String> {
+    let coreness = layout.coreness.ok_or("snapshot has no coreness section")?;
     Ok(KCore {
-        coreness,
-        degeneracy,
-        peel_order,
+        coreness: coreness.u32s(bytes).collect(),
+        degeneracy: layout.degeneracy,
+        peel_order: layout
+            .peel_order
+            .map_or_else(Vec::new, |span| span.u32s(bytes).collect()),
     })
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::kcore::{kcore_parallel, kcore_sequential};
-    use lazymc_graph::gen;
+    use lazymc_graph::snapshot::write_file_atomic;
+    use lazymc_graph::{gen, MappedSnapshot};
+
+    /// The heap loader: validate, then copy the decomposition out.
+    fn load(bytes: &[u8]) -> Result<KCore, String> {
+        extract_kcore(bytes, &Layout::validate(bytes)?)
+    }
+
+    /// Why a mapping of `bytes` (written to a file) was refused.
+    fn map_error(bytes: &[u8], want: &str) -> String {
+        let path = std::env::temp_dir().join(format!("kcore_{}_{want}.lmcs", std::process::id()));
+        write_file_atomic(&path, bytes).unwrap();
+        let err = MappedSnapshot::map(&path).expect_err("mapping accepted");
+        let _ = std::fs::remove_file(&path);
+        err
+    }
 
     #[test]
     fn kcore_round_trips_through_snapshot_bytes() {
@@ -81,9 +65,10 @@ mod tests {
             let kc = kcore_sequential(&g);
             let mut snap = Snapshot::from_graph(&g);
             embed_kcore(&mut snap, &kc);
-            let back = Snapshot::decode(&snap.encode()).unwrap();
-            assert_eq!(back.graph().unwrap(), g);
-            let kc2 = extract_kcore(&back).unwrap();
+            let bytes = snap.encode();
+            let layout = Layout::validate(&bytes).unwrap();
+            assert_eq!(layout.graph(&bytes), g);
+            let kc2 = extract_kcore(&bytes, &layout).unwrap();
             assert_eq!(kc2, kc, "seed {seed}");
         }
     }
@@ -95,8 +80,7 @@ mod tests {
         assert!(kc.peel_order.is_empty());
         let mut snap = Snapshot::from_graph(&g);
         embed_kcore(&mut snap, &kc);
-        let back = Snapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(extract_kcore(&back).unwrap(), kc);
+        assert_eq!(load(&snap.encode()).unwrap(), kc);
     }
 
     #[test]
@@ -105,35 +89,38 @@ mod tests {
         let kc = kcore_sequential(&g);
         let mut snap = Snapshot::from_graph(&g);
         embed_kcore(&mut snap, &kc);
-        let kc2 = extract_kcore(&Snapshot::decode(&snap.encode()).unwrap()).unwrap();
-        assert_eq!(kc2, kc);
+        assert_eq!(load(&snap.encode()).unwrap(), kc);
     }
 
     #[test]
     fn extract_rejects_malformed_sections() {
         let g = gen::complete(5);
         let kc = kcore_sequential(&g);
-        // Missing coreness.
+        // Missing coreness: a valid file, but no decomposition to extract.
         let snap = Snapshot::from_graph(&g);
-        assert!(extract_kcore(&snap).is_err());
-        // Wrong coreness length.
-        let mut snap = Snapshot::from_graph(&g);
-        snap.push_section(SEC_CORENESS, SectionData::U32(vec![1, 2]));
-        assert!(extract_kcore(&snap).is_err());
-        // Peel order with a repeated vertex.
-        let mut snap = Snapshot::from_graph(&g);
-        embed_kcore(&mut snap, &kc);
-        snap.push_section(SEC_PEEL_ORDER, SectionData::U32(vec![0, 0, 1, 2, 3]));
-        assert!(extract_kcore(&snap).is_err());
-        // Peel order with an out-of-range vertex.
-        let mut snap = Snapshot::from_graph(&g);
-        embed_kcore(&mut snap, &kc);
-        snap.push_section(SEC_PEEL_ORDER, SectionData::U32(vec![0, 1, 2, 3, 99]));
-        assert!(extract_kcore(&snap).is_err());
+        assert!(load(&snap.encode()).is_err());
+        // Malformed sections fail the ladder itself, so the heap loader
+        // and a mapping of the same (correctly checksummed) file agree.
+        for (id, data, want) in [
+            (SEC_CORENESS, vec![1, 2], "coreness section has 2"),
+            (SEC_PEEL_ORDER, vec![0, 0, 1, 2, 3], "repeats vertex 0"),
+            (
+                SEC_PEEL_ORDER,
+                vec![0, 1, 2, 3, 99],
+                "out-of-range vertex 99",
+            ),
+        ] {
+            let mut snap = Snapshot::from_graph(&g);
+            embed_kcore(&mut snap, &kc);
+            snap.push_section(id, SectionData::U32(data));
+            let bytes = snap.encode();
+            let err = load(&bytes).unwrap_err();
+            assert!(err.contains(want), "{want:?} not in {err:?}");
+            assert_eq!(map_error(&bytes, want), err);
+        }
         // Degeneracy is recomputed, not trusted.
         let mut snap = Snapshot::from_graph(&g);
         embed_kcore(&mut snap, &kc);
-        let kc2 = extract_kcore(&snap).unwrap();
-        assert_eq!(kc2.degeneracy, 4);
+        assert_eq!(load(&snap.encode()).unwrap().degeneracy, 4);
     }
 }

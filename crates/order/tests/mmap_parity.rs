@@ -1,11 +1,11 @@
-//! Decoder parity for the zero-copy loader: `MappedSnapshot::map` must
-//! accept exactly the files that the heap pipeline (`Snapshot::decode` +
-//! `Snapshot::graph` + `extract_kcore`) accepts — and on acceptance the
-//! borrowed slices must be bit-identical to the decoded arrays. Probed
+//! Parity of the zero-copy loader: `MappedSnapshot::map` must accept
+//! exactly the files that the heap pipeline (`Layout::validate` +
+//! `Layout::graph` + `extract_kcore`) accepts — and on acceptance the
+//! borrowed slices must be bit-identical to the copied-out arrays. Probed
 //! under random single-byte flips and truncations, the same corruption
-//! model `crates/graph/tests/snapshot.rs` uses for the heap decoder.
+//! model `crates/graph/tests/snapshot.rs` uses for the heap loader.
 
-use lazymc_graph::snapshot::{write_file_atomic, Snapshot};
+use lazymc_graph::snapshot::{write_file_atomic, Layout, Snapshot};
 use lazymc_graph::{gen, CsrGraph, GraphAccess, MappedSnapshot};
 use lazymc_order::{embed_kcore, extract_kcore, kcore_sequential};
 use proptest::prelude::*;
@@ -42,22 +42,19 @@ fn full_snapshot_bytes(g: &CsrGraph) -> Vec<u8> {
 }
 
 /// Whether the heap pipeline accepts these bytes end to end.
-fn decoder_accepts(bytes: &[u8]) -> bool {
-    let Ok(snap) = Snapshot::decode(bytes) else {
-        return false;
-    };
-    snap.graph().is_ok() && extract_kcore(&snap).is_ok()
+fn heap_accepts(bytes: &[u8]) -> bool {
+    Layout::validate(bytes).is_ok_and(|layout| extract_kcore(bytes, &layout).is_ok())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// A freshly persisted snapshot maps, and every borrowed slice is
-    /// bit-identical to what the heap pipeline decodes.
+    /// bit-identical to what the heap pipeline copies out.
     #[test]
     fn mapped_slices_equal_decoded_arrays(g in arb_graph()) {
         let bytes = full_snapshot_bytes(&g);
-        prop_assert!(decoder_accepts(&bytes), "heap pipeline rejects its own encode");
+        prop_assert!(heap_accepts(&bytes), "heap pipeline rejects its own encode");
         let path = tmp_file(&bytes);
         let m = MappedSnapshot::map(&path).expect("map of a valid snapshot");
         let kc = kcore_sequential(&g);
@@ -74,7 +71,7 @@ proptest! {
     }
 
     /// Any single flipped byte is rejected by BOTH paths — the mapped
-    /// loader must not accept bytes the decoder quarantines, nor vice
+    /// loader must not accept bytes the heap loader quarantines, nor vice
     /// versa (the flip breaks the whole-file checksum either way; a
     /// checksum-field flip mismatches the recomputed sum instead).
     #[test]
@@ -85,7 +82,7 @@ proptest! {
         corrupt[at] ^= 1u8 << bit;
         let path = tmp_file(&corrupt);
         let map_ok = MappedSnapshot::map(&path).is_ok();
-        let heap_ok = decoder_accepts(&corrupt);
+        let heap_ok = heap_accepts(&corrupt);
         prop_assert_eq!(
             map_ok, heap_ok,
             "parity broke on bit {} of byte {}/{}", bit, at, bytes.len()
@@ -103,7 +100,7 @@ proptest! {
         let truncated = &bytes[..keep];
         let path = tmp_file(truncated);
         let map_ok = MappedSnapshot::map(&path).is_ok();
-        let heap_ok = decoder_accepts(truncated);
+        let heap_ok = heap_accepts(truncated);
         prop_assert_eq!(map_ok, heap_ok, "truncation parity broke at {} bytes", keep);
         prop_assert!(!map_ok, "truncation to {} bytes went undetected", keep);
         let _ = std::fs::remove_file(&path);

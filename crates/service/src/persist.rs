@@ -9,14 +9,17 @@
 //! * **index scan at boot** — [`SnapshotStore::open`] reads only the fixed
 //!   64-byte header of each file to learn names, fingerprints and sizes;
 //!   payloads stay untouched until a graph is actually asked for;
-//! * **lazy reload** — [`SnapshotStore::load`] fully decodes (checksum,
-//!   structure, fingerprint) on the first `GET`/`POST /solve` after boot;
+//! * **lazy reload** — [`SnapshotStore::load`] runs the validation ladder
+//!   ([`Layout::validate`]: checksum, structure, fingerprint, coreness
+//!   shape) and copies the graph out on the first `GET`/`POST /solve`
+//!   after boot; [`SnapshotStore::load_mapped`] runs the same ladder over
+//!   a mapping instead;
 //! * **quarantine, never crash** — a file that fails any validation is
 //!   renamed to `<file>.corrupt` with a warning on stderr and dropped from
 //!   the index; the daemon keeps serving.
 
 use crate::plock;
-use lazymc_graph::snapshot::{write_file_atomic, Snapshot};
+use lazymc_graph::snapshot::{write_file_atomic, Layout, Snapshot};
 use lazymc_graph::{CsrGraph, MappedSnapshot};
 use lazymc_order::{embed_kcore, extract_kcore, KCore};
 use std::collections::HashMap;
@@ -223,10 +226,12 @@ impl SnapshotStore {
         Ok(len)
     }
 
-    /// Fully loads and validates the snapshot of `name`. Any failure
-    /// (missing file, checksum, structure, fingerprint, bad coreness)
-    /// quarantines the file and returns `None` — a load can only ever
-    /// produce a graph+decomposition pair that is exactly what was saved.
+    /// Reads the snapshot of `name`, validates it with
+    /// [`Layout::validate`] and copies the graph and decomposition out.
+    /// Any failure (missing file, checksum, structure, fingerprint, bad or
+    /// missing coreness) quarantines the file and returns `None` — a load
+    /// can only ever produce a graph+decomposition pair that is exactly
+    /// what was saved.
     pub fn load(&self, name: &str) -> Option<(CsrGraph, KCore, u64)> {
         if safe_name(name).is_none() || !self.contains(name) {
             return None;
@@ -240,8 +245,10 @@ impl SnapshotStore {
                 return None;
             }
         };
-        let decoded = Snapshot::decode(&bytes)
-            .and_then(|snap| Ok((snap.graph()?, extract_kcore(&snap)?, snap.fingerprint)));
+        let decoded = Layout::validate(&bytes).and_then(|layout| {
+            let kcore = extract_kcore(&bytes, &layout)?;
+            Ok((layout.graph(&bytes), kcore, layout.fingerprint))
+        });
         match decoded {
             Ok(loaded) => {
                 self.lazy_loads.fetch_add(1, Ordering::Relaxed);
@@ -255,13 +262,13 @@ impl SnapshotStore {
         }
     }
 
-    /// Maps the snapshot of `name` zero-copy: the CSR arrays and embedded
-    /// k-core sections are validated in place (checksum, structure,
-    /// fingerprint — the same ladder [`SnapshotStore::load`] runs) and then
-    /// borrowed straight out of the read-only mapping. No heap decode
-    /// happens; the page cache backs every byte. Failure policy is
-    /// identical to `load`: the file is quarantined and de-indexed, so a
-    /// mapping can only ever expose exactly what was saved. A snapshot
+    /// Maps the snapshot of `name` zero-copy: [`MappedSnapshot::map`] runs
+    /// the same [`Layout::validate`] ladder as [`SnapshotStore::load`] over
+    /// the mapping, and the CSR arrays and embedded k-core sections are
+    /// then borrowed straight out of it. No heap copy happens; the page
+    /// cache backs every byte. Failure policy is identical to `load`: the
+    /// file is quarantined and de-indexed, so a mapping can only ever
+    /// expose exactly what was saved. A snapshot
     /// without an embedded decomposition is rejected too — callers rely on
     /// the mapped coreness/peel-order the same way heap loads rely on
     /// [`extract_kcore`].
@@ -290,9 +297,10 @@ impl SnapshotStore {
         }
     }
 
-    /// Integrity re-verification for the background scrubber: fully
-    /// decodes the on-disk snapshot of `name` — checksum, structure,
-    /// fingerprint, coreness — and discards the result. Bit-rot
+    /// Integrity re-verification for the background scrubber: runs
+    /// [`Layout::validate`] over the on-disk snapshot of `name` —
+    /// checksum, structure, fingerprint, coreness — and checks a
+    /// decomposition is embedded, without building a graph. Bit-rot
     /// quarantines the file exactly like a failed [`SnapshotStore::load`]
     /// would, so a corrupt snapshot is pulled from the index *before*
     /// any request tries to serve it. Returns `false` iff the file was
@@ -304,12 +312,7 @@ impl SnapshotStore {
         let path = self.path_of(name);
         let checked = std::fs::read(&path)
             .map_err(|e| format!("unreadable: {e}"))
-            .and_then(|bytes| {
-                let snap = Snapshot::decode(&bytes)?;
-                snap.graph()?;
-                extract_kcore(&snap)?;
-                Ok(())
-            });
+            .and_then(|bytes| extract_kcore(&bytes, &Layout::validate(&bytes)?).map(drop));
         match checked {
             Ok(()) => true,
             Err(e) => {

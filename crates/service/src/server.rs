@@ -15,11 +15,11 @@
 //! * **Scheduler workers** (`--solver-workers` sizes the pool) belong to
 //!   one machine-wide [`lazymc_sched::Pool`]. The bounded priority queue
 //!   is plugged in as the pool's [`JobSource`]: an idle worker pulls the
-//!   most urgent [`SolveJob`] (priority desc, deadline-earliest, FIFO) and
+//!   most urgent `SolveJob` (priority desc, deadline-earliest, FIFO) and
 //!   runs the whole solve as a root task; the solve's own subtree scopes
 //!   land in the *same* pool, so idle workers steal into a running solve
 //!   instead of sitting behind a per-job thread team. Results flow back
-//!   through the [`JobStore`](crate::jobs::JobStore): to the waiting
+//!   through the [`JobStore`]: to the waiting
 //!   connection (sync), into the store (`?async=1`), or into a batch slot.
 //!
 //! A solve request therefore costs: parse → registry lookup → result-cache

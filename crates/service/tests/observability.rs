@@ -1,6 +1,7 @@
 //! Live-socket tests of the observability substrate: Prometheus
 //! text-format conformance of `/metrics` (one `# HELP`/`# TYPE` per
-//! family, no duplicate series, monotone cumulative `le` buckets),
+//! family, each documented in `docs/observability.md`, no duplicate
+//! series, monotone cumulative `le` buckets),
 //! `X-Request-Id` handling (valid inbound ids honoured and echoed,
 //! invalid or absent ids replaced with generated ones), live progress on
 //! a running solve via `GET /jobs/<id>`, the `GET /debug/slow` span
@@ -61,8 +62,14 @@ fn metrics_prometheus_text_format_conformance() {
             );
         }
     }
+    // Every family is documented in the series table.
+    let doc = include_str!("../../../docs/observability.md");
     for name in types.keys() {
         assert!(helps.contains(name), "{name} has # TYPE but no # HELP");
+        assert!(
+            doc.contains(&format!("| `{name}` |")),
+            "{name} has no row in docs/observability.md"
+        );
     }
 
     // Every sample belongs to a declared family (histograms own their
